@@ -15,9 +15,11 @@ import (
 	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/queue"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/video"
 )
 
 // TestLinkHotPathAllocationBudget pins the tracing-disabled contract:
@@ -401,5 +403,56 @@ func TestPooledSourceAllocationBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("pooled CBR→link cycle allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestServerFrameAllocationBudget pins the streaming servers' frame
+// path at zero allocations warm: the frame clock re-arms one Timer per
+// frame and the shared fragment sender queues pooled packets on a ring
+// behind one pre-bound Timer, so a frame interval of pooled WMTUDP,
+// Burst or Adaptive streaming — frame event, packetization, one send
+// event per fragment, sink release — allocates nothing.
+func TestServerFrameAllocationBudget(t *testing.T) {
+	clip := video.Lost()
+	cbr := video.EncodeCBR(clip, 1.0e6)
+	vbr := video.EncodeVBR(clip, units.BitRate(video.WMVCapKbps)*units.Kbps)
+	cases := []struct {
+		name  string
+		start func(s *sim.Simulator, next packet.Handler, pool *packet.Pool) *int
+	}{
+		{"WMTUDP", func(s *sim.Simulator, next packet.Handler, pool *packet.Pool) *int {
+			srv := &server.WMTUDP{Sim: s, Enc: vbr, Flow: 1, Next: next, Pool: pool}
+			srv.Start()
+			return &srv.Sent
+		}},
+		{"Burst", func(s *sim.Simulator, next packet.Handler, pool *packet.Pool) *int {
+			srv := &server.Burst{Sim: s, Enc: cbr, Flow: 1, Next: next, Pool: pool}
+			srv.Start()
+			return &srv.Sent
+		}},
+		{"Adaptive", func(s *sim.Simulator, next packet.Handler, pool *packet.Pool) *int {
+			srv := &server.Adaptive{Sim: s, Encs: []*video.Encoding{cbr}, Flow: 1, Next: next, Pool: pool}
+			srv.Start()
+			return &srv.Sent
+		}},
+	}
+	interval := video.FrameInterval()
+	for _, c := range cases {
+		s := sim.New(1)
+		pool := packet.NewPool()
+		sent := c.start(s, &packet.Sink{Pool: pool}, pool)
+		at := 300 * interval
+		s.RunUntil(at) // warm the event pool, calendar, ring and arena
+		before := *sent
+		allocs := testing.AllocsPerRun(200, func() {
+			at += interval
+			s.RunUntil(at)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: one frame interval allocates %.2f/op, want 0", c.name, allocs)
+		}
+		if *sent == before {
+			t.Errorf("%s: sent nothing — budget measured an idle simulator", c.name)
+		}
 	}
 }

@@ -33,9 +33,9 @@ func BenchmarkTable1FrameRelay(b *testing.B) {
 		l := link.NewFrameRelay(s, link.Table1()[0], units.Millisecond, queue.NewEFPriority(100, 100), &sink)
 		for j := 0; j < 1000; j++ {
 			j := j
-			s.At(units.Time(j)*6*units.Millisecond, func() {
+			s.AtTimer(units.Time(j)*6*units.Millisecond, sim.TimerFunc(func(units.Time) {
 				l.Handle(&packet.Packet{ID: uint64(j), Size: 1500, DSCP: packet.EF})
-			})
+			}))
 		}
 		s.Run()
 		if sink.Count != 1000 {
@@ -219,15 +219,15 @@ func BenchmarkSRTCMMark(b *testing.B) {
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	s := sim.New(1)
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick sim.TimerFunc
+	tick = func(units.Time) {
 		n++
 		if n < b.N {
-			s.After(units.Microsecond, tick)
+			s.AfterTimer(units.Microsecond, tick)
 		}
 	}
 	b.ResetTimer()
-	s.After(0, tick)
+	s.AfterTimer(0, tick)
 	s.Run()
 }
 
@@ -286,18 +286,18 @@ func benchBucketWidth(b *testing.B, width units.Time, gap func(i int) units.Time
 	s := sim.NewWithBucketWidth(1, width)
 	const working = 512
 	fired, scheduled := 0, 0
-	var tick func()
-	tick = func() {
+	var tick sim.TimerFunc
+	tick = func(units.Time) {
 		fired++
 		if scheduled < b.N {
 			scheduled++
-			s.After(gap(scheduled), tick)
+			s.AfterTimer(gap(scheduled), tick)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < working && scheduled < b.N; i++ {
 		scheduled++
-		s.After(gap(i), tick)
+		s.AfterTimer(gap(i), tick)
 	}
 	s.Run()
 	if fired != scheduled {
@@ -517,7 +517,8 @@ func BenchmarkFleetMixture(b *testing.B) {
 }
 
 // BenchmarkNFlowPoint contrasts one wide nflow grid point built on N
-// real paced servers (per-flow access chains, per-frame closures)
+// real paced servers (per-flow access chains, frame clocks and send
+// rings)
 // against the flow-batched fan-out source covering the same N virtual
 // flows — the byte-identical fast path nflow-wide sweeps on.
 func BenchmarkNFlowPoint(b *testing.B) {

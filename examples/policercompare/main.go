@@ -149,12 +149,15 @@ func adaptive() {
 	s.Run()
 	fmt.Printf("final level: %d (%v); switches: %d\n",
 		srv.Level(), encs[srv.Level()].Target, srv.Switches)
-	hist := map[int]int{}
+	// A slice indexed by level prints the histogram in level order.
+	hist := make([]int, len(encs))
 	for _, l := range srv.Levels {
 		hist[l]++
 	}
 	for l, n := range hist {
-		fmt.Printf("  level %d (%v): %d s\n", l, encs[l].Target, n)
+		if n > 0 {
+			fmt.Printf("  level %d (%v): %d s\n", l, encs[l].Target, n)
+		}
 	}
 	tr := cl.Finish()
 	fmt.Printf("frame delivery: %d of %d (loss %.2f%%) — the stream converged to\n",

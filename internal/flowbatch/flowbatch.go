@@ -5,8 +5,8 @@
 // its own policer, its own client and its own per-flow statistics —
 // downstream elements cannot tell a batched source from N real
 // servers — but the source-side work (fragmenting every frame,
-// scheduling every frame closure, running a private access link and
-// jitter element per flow) is paid once instead of N times.
+// firing every frame event, running a private access link and jitter
+// element per flow) is paid once instead of N times.
 //
 // # Exactness
 //
@@ -56,7 +56,15 @@
 // separate per-flow populations would consume and the exactness
 // contract above — and both the batcheq and shardeq differential
 // harnesses — extend to mixtures unchanged. A single class with zero
-// phase is packet-for-packet identical to BatchedPaced.
+// phase emits packet-for-packet what BatchedPaced does when nothing
+// else shares its simulator (the isolated flowbatch test), but it is
+// not a drop-in replacement inside a larger topology: BatchedPaced
+// arms one delivery event per packet while the mixture keeps one
+// re-armed delivery timer, so their events carry different sequence
+// numbers and same-instant ties with other components' events (border
+// policers, links) can resolve in a different order. Folding a
+// homogeneous batch into a 1-class mixture therefore has to align the
+// delivery-timer arming first.
 // TruncateSchedule caps a class's schedule to a clip prefix for
 // fleet-scale sweeps. Sharded execution reuses the shift-invariance
 // argument per class: ShardArrivals carries per-flow base-sequence

@@ -151,14 +151,14 @@ func TestBatchedPacedFoldsChainExactly(t *testing.T) {
 	})
 	for _, m := range ems {
 		m := m
-		s1.At(m.at, func() {
+		s1.AtTimer(m.at, sim.TimerFunc(func(units.Time) {
 			p := pool1.Get()
 			p.Flow = 100 + packet.FlowID(m.flow)
 			p.Size = m.e.Size
 			p.FrameSeq = int(m.e.FrameSeq)
 			p.SentAt = s1.Now()
 			chains[m.flow].Handle(p)
-		})
+		}))
 	}
 	s1.Run()
 

@@ -59,12 +59,16 @@ type MixtureClass struct {
 // Global virtual-flow indices are class-major: class 0 owns flows
 // [0, N0), class 1 owns [N0, N0+N1), and so on; flow g carries packet
 // flow id BaseFlow+g and delivers into Next[g] (or Next[0] when one
-// shared next hop is given). With a single class and zero phase it is
-// packet-for-packet identical to a BatchedPaced over the same
-// schedule — the mixture tests pin this — and the exactness contract
-// of the package comment carries over unchanged: per-flow access-link
-// serialization is folded bit-exactly, and jitter is drawn from the
-// root RNG in global (time, flow) arrival order across all classes.
+// shared next hop is given). With a single class and zero phase, on a
+// simulator nothing else shares, it is packet-for-packet identical to a
+// BatchedPaced over the same schedule — the mixture tests pin this.
+// Inside a larger topology it is not: BatchedPaced arms a delivery
+// event per packet where the mixture re-arms one timer, so same-instant
+// ties with other components' events can resolve differently (see the
+// package comment). The exactness contract of the package comment
+// carries over unchanged: per-flow access-link serialization is folded
+// bit-exactly, and jitter is drawn from the root RNG in global
+// (time, flow) arrival order across all classes.
 type BatchedMixture struct {
 	Sim      *sim.Simulator
 	Classes  []MixtureClass

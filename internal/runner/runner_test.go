@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 func TestMapEmpty(t *testing.T) {
@@ -100,7 +101,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 				s := sim.New(uint64(1000 + i))
 				var acc uint64
 				for k := 0; k < 50; k++ {
-					s.After(1, func() { acc = acc*31 + s.RNG().Uint64()%997 })
+					s.AfterTimer(1, sim.TimerFunc(func(units.Time) { acc = acc*31 + s.RNG().Uint64()%997 }))
 				}
 				s.Run()
 				return acc

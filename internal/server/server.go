@@ -14,9 +14,14 @@
 //     message sizes that fit single packets, streamed over UDP (bursty)
 //     or over TCP with server-side stream thinning. Used for the local
 //     testbed experiments.
+//
+// Every server streams its clip through one frameClock, and the UDP
+// servers hand their fragments to one sender.
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/client"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -36,6 +41,127 @@ const MaxUDPPayload = units.EthernetMTU - UDPHeader
 // server packet and a source packet never carry the same id, which is
 // what keeps canonicalized trace captures run-order independent.
 func nextID() uint64 { return packet.NewID() }
+
+// frameClock fires a server's per-frame callback for frame i at
+// start + i·FrameInterval(), each time computed from start rather
+// than accumulated. It is one Timer that re-arms itself, so a clip
+// keeps exactly one frame event pending.
+type frameClock struct {
+	sim   *sim.Simulator
+	start units.Time
+	next  int // frame the pending event fires
+	n     int // frames in the clip
+	frame func(i int)
+}
+
+// run starts the clock at the current instant for an n-frame clip.
+func (c *frameClock) run(s *sim.Simulator, n int, frame func(i int)) {
+	*c = frameClock{sim: s, start: s.Now(), n: n, frame: frame}
+	if n > 0 {
+		s.AtTimer(c.start, c)
+	}
+}
+
+// Fire re-arms the clock for the next frame before sending this one,
+// so the next frame's event is sequenced ahead of every fragment timer
+// this frame schedules.
+func (c *frameClock) Fire(units.Time) {
+	i := c.next
+	c.next++
+	if c.next < c.n {
+		c.sim.AtTimer(c.start+units.Time(int64(c.next))*video.FrameInterval(), c)
+	}
+	c.frame(i)
+}
+
+// fragments is the number of msg-byte payloads a size-byte message
+// splits into; fragment j carries min(msg, size-j·msg) bytes. An empty
+// message still takes one header-only fragment.
+func fragments(size, msg int) int { return max(1, (size+msg-1)/msg) }
+
+// checkBackToBack panics unless the last MTU-sized fragment of frame i
+// (size bytes), sent back-to-back at rate, leaves before the next
+// frame starts — the precondition of the sender's FIFO ring.
+func checkBackToBack(who string, i, size int, rate units.BitRate) {
+	n := fragments(size, MaxUDPPayload)
+	if units.Time(int64(n-1))*rate.TxTime(units.EthernetMTU) >= video.FrameInterval() {
+		panic(fmt.Sprintf("server: %s frame %d (%d B) does not leave within one frame interval at %v",
+			who, i, size, rate))
+	}
+}
+
+// largestFrame reports the index and size of enc's largest frame.
+func largestFrame(enc *video.Encoding) (i, size int) {
+	for j, f := range enc.Frames {
+		if f.Size > size {
+			i, size = j, f.Size
+		}
+	}
+	return i, size
+}
+
+// sender is the fragment send path the UDP servers share: fragments
+// wait in a FIFO ring and one Timer per fragment sends the ring head.
+// That is exact because send instants never decrease: within a frame
+// by construction, and across frames because a frame's last fragment
+// leaves before the next frame starts — Paced and Adaptive spread a
+// frame inside its interval, and Burst and WMTUDP check their largest
+// frame at Start. Embedding it gives a server its Sent / SentBytes
+// counters.
+type sender struct {
+	Sent      int   // packets handed to the next hop
+	SentBytes int64 // their wire bytes, headers included
+
+	sim  *sim.Simulator
+	next packet.Handler
+	flow packet.FlowID
+	pool *packet.Pool
+	ring packet.Ring
+}
+
+// sendTimer is the pointer-conversion Timer of a sender.
+type sendTimer sender
+
+// Fire stamps and transmits the ring head.
+func (t *sendTimer) Fire(now units.Time) {
+	s := (*sender)(t)
+	p := s.ring.Pop()
+	p.SentAt = now
+	s.Sent++
+	s.SentBytes += int64(p.Size)
+	s.next.Handle(p)
+}
+
+// queue schedules fragment j of frags of frame i, carrying payload
+// bytes, to leave at offset at from now.
+func (s *sender) queue(i, j, frags, payload int, at units.Time) {
+	p := s.pool.Get()
+	p.ID, p.Flow, p.Proto = nextID(), s.flow, packet.UDP
+	p.Size = payload + UDPHeader
+	p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
+	s.ring.Push(p)
+	s.sim.AfterTimer(at, (*sendTimer)(s))
+}
+
+// spread queues frame i of size bytes as msg-byte fragments, fragment
+// j of n leaving at span·j/n.
+func (s *sender) spread(i, size, msg int, span units.Time) {
+	n := fragments(size, msg)
+	for j := 0; j < n; j++ {
+		s.queue(i, j, n, min(msg, size-j*msg), units.Time(int64(span)*int64(j)/int64(n)))
+	}
+}
+
+// backToBack queues frame i of size bytes as MTU-sized fragments that
+// leave back-to-back at rate, each declaring frags fragments.
+func (s *sender) backToBack(i, size, frags int, rate units.BitRate) {
+	var at units.Time
+	for j := 0; j < fragments(size, MaxUDPPayload); j++ {
+		payload := min(MaxUDPPayload, size-j*MaxUDPPayload)
+		s.queue(i, j, frags, payload, at)
+		at += rate.TxTime(payload + UDPHeader)
+	}
+}
 
 // Paced streams an encoding over UDP, sending each frame's packets
 // evenly spaced across a fraction of the frame interval — the
@@ -60,24 +186,11 @@ type Paced struct {
 	// interval, strictly inside it).
 	PaceSpread float64
 
-	Sent      int
-	SentBytes int64
-
-	// Pending fragment sends, delivery order. Fragment send times are
-	// strictly increasing (within a frame by construction, across
-	// frames because a frame's spread never reaches the next frame
-	// time), so a FIFO ring plus one Timer replaces the per-fragment
-	// closures.
-	pending packet.Ring
+	sender
+	clock frameClock
 }
 
-// pacedSendTimer is the pointer-conversion Timer of a Paced server.
-type pacedSendTimer Paced
-
-// Fire transmits the oldest pending fragment.
-func (s *pacedSendTimer) Fire(units.Time) { (*Paced)(s).sendHead() }
-
-// Start schedules the whole clip's transmission.
+// Start begins streaming the clip at the current instant.
 func (s *Paced) Start() {
 	if s.MsgSize <= 0 {
 		s.MsgSize = MaxUDPPayload
@@ -88,51 +201,21 @@ func (s *Paced) Start() {
 	if s.PaceSpread > 1 {
 		panic("server: Paced.PaceSpread > 1 would overlap adjacent frames' sends")
 	}
-	interval := video.FrameInterval()
-	for i := range s.Enc.Frames {
-		i := i
-		s.Sim.At(s.Sim.Now()+units.Time(int64(i))*interval, func() { s.sendFrame(i) })
-	}
+	s.sender = sender{sim: s.Sim, next: s.Next, flow: s.Flow, pool: s.Pool}
+	s.clock.run(s.Sim, len(s.Enc.Frames), s.sendFrame)
 }
 
 func (s *Paced) sendFrame(i int) {
-	size := s.Enc.Frames[i].Size
-	frags := (size + s.MsgSize - 1) / s.MsgSize
-	if frags == 0 {
-		frags = 1
-	}
-	interval := video.FrameInterval()
-	spread := units.Time(float64(interval) * s.PaceSpread)
-	for j := 0; j < frags; j++ {
-		payload := s.MsgSize
-		if j == frags-1 {
-			payload = size - (frags-1)*s.MsgSize
-		}
-		p := s.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), s.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
-		var at units.Time
-		if frags > 1 {
-			at = units.Time(int64(spread) * int64(j) / int64(frags))
-		}
-		s.pending.Push(p)
-		s.Sim.AfterTimer(at, (*pacedSendTimer)(s))
-	}
-}
-
-// sendHead transmits the ring head at its scheduled instant.
-func (s *Paced) sendHead() {
-	p := s.pending.Pop()
-	p.SentAt = s.Sim.Now()
-	s.Sent++
-	s.SentBytes += int64(p.Size)
-	s.Next.Handle(p)
+	span := units.Time(float64(video.FrameInterval()) * s.PaceSpread)
+	s.spread(i, s.Enc.Frames[i].Size, s.MsgSize, span)
 }
 
 // MaxDatagram is the largest application datagram the bursty servers
 // generate (§2.2: "up to 16280 bytes long").
 const MaxDatagram = 16280
+
+// maxRateMultiplier caps Burst's adaptive rate multiplier.
+const maxRateMultiplier = 2.5
 
 // Burst streams an encoding the way the large-datagram servers did:
 // each frame becomes one application datagram (up to MaxDatagram)
@@ -155,17 +238,18 @@ type Burst struct {
 	lossProbe      func() (lossFrac float64, avgDelay units.Time)
 	rateMultiplier float64
 
-	Sent        int
-	SentBytes   int64
 	Multipliers []float64 // rate multiplier history, one per feedback tick
 
-	frame int
+	sender
+	clock frameClock
 }
 
 // SetFeedback wires the client-side probe the adaptation loop polls.
 func (b *Burst) SetFeedback(probe func() (float64, units.Time)) { b.lossProbe = probe }
 
-// Start schedules the transmission.
+// Start begins streaming the clip at the current instant. It panics if
+// the largest frame, scaled by the multiplier cap, could not leave the
+// host within one frame interval at HostRate.
 func (b *Burst) Start() {
 	if b.HostRate <= 0 {
 		b.HostRate = 100 * units.Mbps
@@ -173,18 +257,22 @@ func (b *Burst) Start() {
 	if b.FeedbackEvery <= 0 {
 		b.FeedbackEvery = units.Second
 	}
+	i, size := largestFrame(b.Enc)
+	checkBackToBack("Burst", i, burstSize(size, maxRateMultiplier), b.HostRate)
 	b.rateMultiplier = 1
-	interval := video.FrameInterval()
-	for i := range b.Enc.Frames {
-		i := i
-		b.Sim.At(b.Sim.Now()+units.Time(int64(i))*interval, func() { b.sendFrame(i) })
-	}
+	b.sender = sender{sim: b.Sim, next: b.Next, flow: b.Flow, pool: b.Pool}
+	b.clock.run(b.Sim, len(b.Enc.Frames), b.sendFrame)
 	if b.Adapt && b.lossProbe != nil {
-		b.Sim.After(b.FeedbackEvery, b.adaptTick)
+		b.Sim.AfterTimer(b.FeedbackEvery, (*burstAdaptTimer)(b))
 	}
 }
 
-func (b *Burst) adaptTick() {
+// burstAdaptTimer is Burst's feedback loop: one Timer that polls the
+// probe, steps the rate multiplier and re-arms FeedbackEvery later.
+type burstAdaptTimer Burst
+
+func (t *burstAdaptTimer) Fire(units.Time) {
+	b := (*Burst)(t)
 	loss, delay := b.lossProbe()
 	switch {
 	case loss > 0.35:
@@ -195,62 +283,36 @@ func (b *Burst) adaptTick() {
 		// estimator into believing bandwidth is plentiful, so it
 		// *raises* the rate to "make up for the losses".
 		b.rateMultiplier *= 1.25
-		if b.rateMultiplier > 2.5 {
-			b.rateMultiplier = 2.5
+		if b.rateMultiplier > maxRateMultiplier {
+			b.rateMultiplier = maxRateMultiplier
 		}
 	case loss == 0:
 		// Creep back toward nominal.
 		b.rateMultiplier = 0.8*b.rateMultiplier + 0.2
 	}
 	b.Multipliers = append(b.Multipliers, b.rateMultiplier)
-	b.Sim.After(b.FeedbackEvery, b.adaptTick)
+	b.Sim.AfterTimer(b.FeedbackEvery, (*burstAdaptTimer)(b))
+}
+
+// burstSize is the bytes Burst sends for a size-byte frame at rate
+// multiplier mult.
+func burstSize(size int, mult float64) int {
+	n := int(float64(size) * mult)
+	if n < 200 {
+		n = 200
+	}
+	return n
 }
 
 func (b *Burst) sendFrame(i int) {
-	size := int(float64(b.Enc.Frames[i].Size) * b.rateMultiplier)
-	if size < 200 {
-		size = 200
-	}
+	size := burstSize(b.Enc.Frames[i].Size, b.rateMultiplier)
 	// Split the frame into application datagrams; each datagram is
 	// fragmented by the IP stack into MTU-sized packets that leave
 	// back-to-back at the host NIC rate. One lost fragment loses the
 	// datagram, and hence the frame.
-	frags := 0
-	remaining := size
-	for remaining > 0 {
-		dg := remaining
-		if dg > MaxDatagram {
-			dg = MaxDatagram
-		}
-		frags += (dg + MaxUDPPayload - 1) / MaxUDPPayload
-		remaining -= dg
-	}
-	if frags == 0 {
-		frags = 1
-	}
-	var at units.Time
-	sent := 0
-	remaining = size
-	for remaining > 0 {
-		payload := remaining
-		if payload > MaxUDPPayload {
-			payload = MaxUDPPayload
-		}
-		p := b.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), b.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, sent, frags
-		b.Sim.After(at, func() {
-			p.SentAt = b.Sim.Now()
-			b.Sent++
-			b.SentBytes += int64(p.Size)
-			b.Next.Handle(p)
-		})
-		at += b.HostRate.TxTime(p.Size)
-		sent++
-		remaining -= payload
-	}
-	b.frame = i
+	const perDatagram = (MaxDatagram + MaxUDPPayload - 1) / MaxUDPPayload
+	frags := size/MaxDatagram*perDatagram + (size%MaxDatagram+MaxUDPPayload-1)/MaxUDPPayload
+	b.backToBack(i, size, frags, b.HostRate)
 }
 
 // WMTUDP streams a capped-VBR encoding over UDP with reduced message
@@ -265,46 +327,26 @@ type WMTUDP struct {
 	Pool     *packet.Pool  // packet arena; nil falls back to the heap
 	HostRate units.BitRate // default 10 Mbps Ethernet
 
-	Sent      int
-	SentBytes int64
+	sender
+	clock frameClock
 }
 
-// Start schedules the transmission.
+// Start begins streaming the clip at the current instant. It panics if
+// the largest frame could not leave the host within one frame interval
+// at HostRate.
 func (s *WMTUDP) Start() {
 	if s.HostRate <= 0 {
 		s.HostRate = 10 * units.Mbps
 	}
-	interval := video.FrameInterval()
-	for i := range s.Enc.Frames {
-		i := i
-		s.Sim.At(s.Sim.Now()+units.Time(int64(i))*interval, func() { s.sendFrame(i) })
-	}
+	i, size := largestFrame(s.Enc)
+	checkBackToBack("WMTUDP", i, size, s.HostRate)
+	s.sender = sender{sim: s.Sim, next: s.Next, flow: s.Flow, pool: s.Pool}
+	s.clock.run(s.Sim, len(s.Enc.Frames), s.sendFrame)
 }
 
 func (s *WMTUDP) sendFrame(i int) {
 	size := s.Enc.Frames[i].Size
-	frags := (size + MaxUDPPayload - 1) / MaxUDPPayload
-	if frags == 0 {
-		frags = 1
-	}
-	var at units.Time
-	for j := 0; j < frags; j++ {
-		payload := MaxUDPPayload
-		if j == frags-1 {
-			payload = size - (frags-1)*MaxUDPPayload
-		}
-		p := s.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), s.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
-		s.Sim.After(at, func() {
-			p.SentAt = s.Sim.Now()
-			s.Sent++
-			s.SentBytes += int64(p.Size)
-			s.Next.Handle(p)
-		})
-		at += s.HostRate.TxTime(p.Size)
-	}
+	s.backToBack(i, size, fragments(size, MaxUDPPayload), s.HostRate)
 }
 
 // WMTTCP streams a capped-VBR encoding over the simulated TCP
@@ -328,18 +370,16 @@ type WMTTCP struct {
 
 	FramesSent    int
 	FramesThinned int
+
+	clock frameClock
 }
 
-// Start schedules the clip's frame writes.
+// Start begins writing the clip's frames at the current instant.
 func (s *WMTTCP) Start() {
 	if s.ThinningBacklog == 0 {
 		s.ThinningBacklog = int64(float64(s.Enc.Target) / 8 / 2)
 	}
-	interval := video.FrameInterval()
-	for i := range s.Enc.Frames {
-		i := i
-		s.Sim.At(s.Sim.Now()+units.Time(int64(i))*interval, func() { s.writeFrame(i) })
-	}
+	s.clock.run(s.Sim, len(s.Enc.Frames), s.writeFrame)
 }
 
 func (s *WMTTCP) writeFrame(i int) {
@@ -370,8 +410,10 @@ type Adaptive struct {
 
 	level    int
 	Switches int
-	Sent     int
 	Levels   []int // level history per feedback tick
+
+	sender
+	clock frameClock
 }
 
 // SetFeedback wires the loss probe.
@@ -386,18 +428,19 @@ func (a *Adaptive) Start() {
 		a.FeedbackEvery = units.Second
 	}
 	a.level = len(a.Encs) - 1
-	interval := video.FrameInterval()
-	n := a.Encs[0].Clip.FrameCount()
-	for i := 0; i < n; i++ {
-		i := i
-		a.Sim.At(a.Sim.Now()+units.Time(int64(i))*interval, func() { a.sendFrame(i) })
-	}
+	a.sender = sender{sim: a.Sim, next: a.Next, flow: a.Flow, pool: a.Pool}
+	a.clock.run(a.Sim, a.Encs[0].Clip.FrameCount(), a.sendFrame)
 	if a.lossProbe != nil {
-		a.Sim.After(a.FeedbackEvery, a.adaptTick)
+		a.Sim.AfterTimer(a.FeedbackEvery, (*adaptiveTimer)(a))
 	}
 }
 
-func (a *Adaptive) adaptTick() {
+// adaptiveTimer is Adaptive's feedback loop: one Timer that polls the
+// probe, steps the level and re-arms FeedbackEvery later.
+type adaptiveTimer Adaptive
+
+func (t *adaptiveTimer) Fire(units.Time) {
+	a := (*Adaptive)(t)
 	loss := a.lossProbe()
 	switch {
 	case loss > 0.02 && a.level > 0:
@@ -408,31 +451,12 @@ func (a *Adaptive) adaptTick() {
 		a.Switches++
 	}
 	a.Levels = append(a.Levels, a.level)
-	a.Sim.After(a.FeedbackEvery, a.adaptTick)
+	a.Sim.AfterTimer(a.FeedbackEvery, (*adaptiveTimer)(a))
 }
 
+// sendFrame paces frame i of the current level across 80% of the frame
+// interval.
 func (a *Adaptive) sendFrame(i int) {
-	enc := a.Encs[a.level]
-	size := enc.Frames[i].Size
-	frags := (size + MaxUDPPayload - 1) / MaxUDPPayload
-	if frags == 0 {
-		frags = 1
-	}
-	interval := video.FrameInterval()
-	for j := 0; j < frags; j++ {
-		payload := MaxUDPPayload
-		if j == frags-1 {
-			payload = size - (frags-1)*MaxUDPPayload
-		}
-		p := a.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), a.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
-		at := units.Time(int64(interval) * 8 / 10 * int64(j) / int64(frags))
-		a.Sim.After(at, func() {
-			p.SentAt = a.Sim.Now()
-			a.Sent++
-			a.Next.Handle(p)
-		})
-	}
+	span := units.Time(int64(video.FrameInterval()) * 8 / 10)
+	a.spread(i, a.Encs[a.level].Frames[i].Size, MaxUDPPayload, span)
 }

@@ -83,7 +83,7 @@ func TestWMTTCPNoThinningOnFastPath(t *testing.T) {
 	snd = tcpsim.NewSender(s, 1, packet.HandlerFunc(func(p *packet.Packet) {
 		ack := &packet.Packet{Flow: 1, Proto: packet.TCP, Size: tcpsim.HeaderSize,
 			Ack: p.Seq + int64(p.Size-tcpsim.HeaderSize), IsAck: true}
-		s.After(units.Microsecond, func() { snd.HandleAck(ack) })
+		s.AfterTimer(units.Microsecond, sim.TimerFunc(func(units.Time) { snd.HandleAck(ack) }))
 	}))
 	asm := &client.StreamAssembler{}
 	srv := &WMTTCP{Sim: s, Enc: enc, Sender: snd, Asm: asm}

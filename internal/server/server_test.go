@@ -174,13 +174,6 @@ func TestBurstAdaptationDeathSpiral(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestWMTTCPThinsUnderBackpressure(t *testing.T) {
 	s := sim.New(1)
 	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)

@@ -5,18 +5,15 @@
 // instant fire in scheduling order, which keeps every experiment
 // bit-for-bit reproducible for a given seed.
 //
-// # Scheduling APIs
+// # Scheduling API
 //
-// There are two ways to schedule work:
-//
-//   - At / After take a closure. Convenient, but each call heap
-//     allocates the closure (plus whatever it captures), so they are
-//     meant for setup-time and low-rate scheduling.
-//   - AtTimer / AfterTimer take a Timer — any value with a
-//     Fire(now units.Time) method. A component that keeps one
-//     long-lived Timer value (typically a pointer-conversion type of
-//     the component itself) schedules with zero allocations per
-//     event, which is what the per-packet hot paths use.
+// There is one way to schedule work: AtTimer / AfterTimer take a
+// Timer — any value with a Fire(now units.Time) method. A component
+// keeps one long-lived Timer value (typically a pointer-conversion
+// type of the component itself, or a pointer to a field of it) and
+// re-arms it, so scheduling allocates nothing per event; that is what
+// every per-packet and per-frame path uses. TimerFunc adapts a plain
+// function for tests and one-off setup events.
 //
 // Both return a Handle. Events themselves are pooled: once fired or
 // cancelled an Event is recycled, so steady-state scheduling performs
@@ -31,8 +28,7 @@
 // time buckets covering the near future, with a binary-heap overflow
 // for events beyond the window. Dequeue cost is O(1) amortized for
 // the dense near-future traffic a packet simulation generates, while
-// far-future events (a clip's whole frame schedule, multi-second
-// timeouts) wait in the heap and migrate into buckets as the window
+// far-future events (multi-second timeouts, staggered flow starts) wait in the heap and migrate into buckets as the window
 // advances. The bucket width is self-tuning: the simulator tracks the
 // observed event density and re-derives the width at window rebases
 // (see adaptive.go), unless a width was pinned at construction.
@@ -48,21 +44,29 @@ import (
 	"repro/internal/units"
 )
 
-// Timer is the closure-free scheduling interface: Fire runs at the
-// scheduled instant with the simulator clock already advanced to it.
-// Components implement Fire on cheap pointer-conversion types (e.g.
+// Timer is the scheduling interface: Fire runs at the scheduled
+// instant with the simulator clock already advanced to it. Components
+// implement Fire on cheap pointer-conversion types (e.g.
 // `type txDoneTimer Link`) so one long-lived interface value serves
 // every scheduling of that callback.
 type Timer interface {
 	Fire(now units.Time)
 }
 
+// TimerFunc adapts an ordinary function to Timer. A func value is
+// pointer-shaped, so the conversion itself does not allocate; the
+// closure it wraps does, which is why hot paths keep a long-lived
+// Timer instead.
+type TimerFunc func(now units.Time)
+
+// Fire calls f(now).
+func (f TimerFunc) Fire(now units.Time) { f(now) }
+
 // Event is one pending callback. Events are owned and recycled by the
 // Simulator; user code only ever holds Handles.
 type Event struct {
 	when      units.Time
 	seq       uint64
-	fn        func()
 	timer     Timer
 	gen       uint32
 	cancelled bool
@@ -77,7 +81,6 @@ func (s *Simulator) release(e *Event) {
 		s.qPurged++
 	}
 	e.gen++
-	e.fn = nil
 	e.timer = nil
 	e.cancelled = false
 	e.inHeap = false
@@ -107,8 +110,8 @@ func (h Handle) When() units.Time {
 	return h.e.when
 }
 
-// Cancel prevents a pending event from firing. The closure or Timer
-// is released immediately — a cancelled event pins nothing until its
+// Cancel prevents a pending event from firing. The Timer is released
+// immediately — a cancelled event pins nothing until its
 // timestamp — and Pending() drops at once. Safe to call any number of
 // times, on the zero Handle, and after the event has fired (all
 // no-ops).
@@ -118,7 +121,6 @@ func (h Handle) Cancel() {
 		return
 	}
 	e.cancelled = true
-	e.fn = nil
 	e.timer = nil
 	e.sim.live--
 	if e.inHeap {
@@ -208,11 +210,10 @@ type Simulator struct {
 	cachedBucket int
 	cachedSlot   int
 
-	live   int // pending, non-cancelled events (Pending)
-	free   []*Event
-	fired  uint64
-	maxT   units.Time // horizon; 0 means none
-	halted bool
+	live  int // pending, non-cancelled events (Pending)
+	free  []*Event
+	fired uint64
+	maxT  units.Time // horizon; 0 means none
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -308,26 +309,10 @@ func (s *Simulator) checkPast(t units.Time) {
 	}
 }
 
-// At schedules fn to run at absolute simulated time t. Scheduling in
-// the past panics: that is always a logic error in a discrete-event
-// model and silently reordering time would corrupt the run.
-func (s *Simulator) At(t units.Time, fn func()) Handle {
-	s.checkPast(t)
-	e := s.alloc(t)
-	e.fn = fn
-	s.schedule(e)
-	return Handle{e: e, gen: e.gen}
-}
-
-// After schedules fn to run d from now.
-func (s *Simulator) After(d units.Time, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
-// AtTimer schedules tm.Fire at absolute time t without allocating.
+// AtTimer schedules tm.Fire at absolute simulated time t without
+// allocating. Scheduling in the past panics: that is always a logic
+// error in a discrete-event model and silently reordering time would
+// corrupt the run.
 func (s *Simulator) AtTimer(t units.Time, tm Timer) Handle {
 	s.checkPast(t)
 	e := s.alloc(t)
@@ -428,40 +413,17 @@ func (s *Simulator) rebase() {
 	}
 }
 
-// popMin removes the event min() located (always bucket-resident —
-// see the cachedMin field comment).
-func (s *Simulator) popMin() *Event {
-	e := s.min()
-	if e == nil {
-		return nil
-	}
-	bucket := s.buckets[s.cachedBucket]
-	last := len(bucket) - 1
-	bucket[s.cachedSlot] = bucket[last]
-	bucket[last] = nil
-	s.buckets[s.cachedBucket] = bucket[:last]
-	s.nBuckets--
-	s.cachedMin = nil
-	s.live--
-	return e
-}
-
-// Halt stops Run before the next event fires. Intended to be called
-// from inside an event callback.
-func (s *Simulator) Halt() { s.halted = true }
-
 // SetHorizon makes Run stop once the clock would pass t. Zero removes
 // the horizon.
 func (s *Simulator) SetHorizon(t units.Time) { s.maxT = t }
 
-// Run executes events until none remain pending, the horizon passes,
-// or Halt is called. It returns the final simulated time.
+// Run executes events until none remain pending or the horizon
+// passes. It returns the final simulated time.
 func (s *Simulator) Run() units.Time {
-	s.halted = false
-	for !s.halted {
+	for {
 		e := s.min()
 		if e == nil {
-			break
+			return s.now
 		}
 		// Peek: an event beyond the horizon must stay queued so a
 		// later Run/RunUntil can still execute it.
@@ -471,20 +433,29 @@ func (s *Simulator) Run() units.Time {
 			}
 			return s.now
 		}
-		s.popMin()
-		s.now = e.when
-		s.fired++
-		fn, tm := e.fn, e.timer
-		// Recycle before firing so a periodic Timer's re-schedule
-		// reuses this very event — the steady state allocates nothing.
-		s.release(e)
-		if tm != nil {
-			tm.Fire(s.now)
-		} else {
-			fn()
-		}
+		s.fire(e)
 	}
-	return s.now
+}
+
+// fire pops e — the minimum min() just located, always
+// bucket-resident (see the cachedMin field comment) — advances the
+// clock to it and runs its Timer. The event is recycled before Fire
+// so a periodic Timer's re-schedule reuses this very event — the
+// steady state allocates nothing.
+func (s *Simulator) fire(e *Event) {
+	bucket := s.buckets[s.cachedBucket]
+	last := len(bucket) - 1
+	bucket[s.cachedSlot] = bucket[last]
+	bucket[last] = nil
+	s.buckets[s.cachedBucket] = bucket[:last]
+	s.nBuckets--
+	s.cachedMin = nil
+	s.live--
+	s.now = e.when
+	s.fired++
+	tm := e.timer
+	s.release(e)
+	tm.Fire(s.now)
 }
 
 // RunUntil executes events with a horizon of t, then restores the
@@ -516,24 +487,13 @@ func (s *Simulator) NextEventTime() (units.Time, bool) {
 // emission so the injection lands in exact (time, seq) order relative
 // to the border's own events.
 func (s *Simulator) RunBefore(t units.Time) units.Time {
-	s.halted = false
-	for !s.halted {
+	for {
 		e := s.min()
 		if e == nil || e.when >= t {
-			break
+			return s.now
 		}
-		s.popMin()
-		s.now = e.when
-		s.fired++
-		fn, tm := e.fn, e.timer
-		s.release(e)
-		if tm != nil {
-			tm.Fire(s.now)
-		} else {
-			fn()
-		}
+		s.fire(e)
 	}
-	return s.now
 }
 
 // AdvanceTo moves the clock forward to t without firing anything.

@@ -25,7 +25,7 @@ func (p *pipe) Handle(pkt *packet.Packet) {
 		p.lost++
 		return
 	}
-	p.s.After(p.delay, func() { p.to(pkt) })
+	p.s.AfterTimer(p.delay, sim.TimerFunc(func(units.Time) { p.to(pkt) }))
 }
 
 func newPair(t *testing.T, s *sim.Simulator, dropData func(*packet.Packet) bool) (*Sender, *Receiver, *int64) {

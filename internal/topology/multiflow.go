@@ -352,7 +352,7 @@ func (m *MultiFlow) Run() {
 			if m.starts != nil {
 				at = m.starts[i]
 			}
-			m.Sim.At(at, srv.Start)
+			m.Sim.AtTimer(at, sim.TimerFunc(func(units.Time) { srv.Start() }))
 		}
 		m.Sim.SetHorizon(horizon)
 		m.Sim.Run()

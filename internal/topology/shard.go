@@ -405,7 +405,7 @@ func runShardedChains(borderSim *sim.Simulator, trace *ptrace.Recorder,
 					cl.Tap, cl.Hop = (*streamTap)(stream), ch.hop
 				}
 				srv := &server.Paced{Sim: ssim, Enc: ch.enc, Flow: ch.flow, Next: cl, Pool: pool}
-				ssim.At(ch.startAt, srv.Start)
+				ssim.AtTimer(ch.startAt, sim.TimerFunc(func(units.Time) { srv.Start() }))
 				results[c] = shardedChainResult{chain: c, server: srv, link: cl}
 			}
 			for frontier := w; ; frontier += w {
