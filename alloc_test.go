@@ -78,9 +78,10 @@ func TestLinkHotPathTracedAllocationBudget(t *testing.T) {
 	}
 }
 
-// batchedFixture builds a warmed-up BatchedPaced fan-out — four
-// virtual flows on a dense synthetic schedule, folded access chain,
-// terminal pooled sink — ready for allocation measurement. The folded
+// batchedFixture builds a warmed-up serial BatchedMixture fan-out —
+// one class of four virtual flows on a dense synthetic schedule,
+// folded access chain, terminal pooled sink — ready for allocation
+// measurement. The folded
 // jitter is zero so the steady state is exactly periodic: like the
 // CBR fixture below, an AllocsPerRun=0 pin needs a deterministic
 // occupancy envelope (random jitter makes calendar-bucket and
@@ -88,7 +89,7 @@ func TestLinkHotPathTracedAllocationBudget(t *testing.T) {
 // growth trickle, not a per-packet source cost; the jittered path's
 // behaviour is pinned byte-identical by the experiment package's
 // differential harness instead).
-func batchedFixture(tap *ptrace.Recorder) (*sim.Simulator, *flowbatch.BatchedPaced) {
+func batchedFixture(tap *ptrace.Recorder) (*sim.Simulator, *flowbatch.BatchedMixture) {
 	s := sim.New(1)
 	pool := packet.NewPool()
 	sched := &flowbatch.Schedule{}
@@ -99,24 +100,24 @@ func batchedFixture(tap *ptrace.Recorder) (*sim.Simulator, *flowbatch.BatchedPac
 		})
 	}
 	sink := packet.Sink{Pool: pool}
-	src := &flowbatch.BatchedPaced{
-		Sim: s, Sched: sched, N: 4, BaseFlow: 10, Offset: 7 * units.Millisecond,
-		Chain: flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
-			AccessDelay: 500 * units.Microsecond},
-		Next: []packet.Handler{&sink}, Pool: pool,
+	src := &flowbatch.BatchedMixture{
+		Sim: s, BaseFlow: 10, Next: []packet.Handler{&sink}, Pool: pool,
+		Classes: []flowbatch.MixtureClass{{Sched: sched, N: 4, Offset: 7 * units.Millisecond,
+			Chain: flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
+				AccessDelay: 500 * units.Microsecond}}},
 	}
 	if tap != nil {
 		tap.SetClock(s)
 		src.Tap, src.Hop = tap, tap.Hop("vflows")
 	}
 	src.Start()
-	s.RunUntil(200 * units.Millisecond) // warm pools, heaps and rings
+	s.RunUntil(200 * units.Millisecond) // warm pools, wheels and rings
 	return s, src
 }
 
 // TestBatchedSourceAllocationBudget pins the batched fan-out's hot
 // path at zero allocations: once the drawn-ahead rings, the merge
-// heaps, the event pool and the packet arena are warm, emitting N
+// wheels, the event pool and the packet arena are warm, emitting N
 // virtual flows' packets through the folded chain allocates nothing.
 func TestBatchedSourceAllocationBudget(t *testing.T) {
 	s, src := batchedFixture(nil)
@@ -160,7 +161,7 @@ func TestBatchedSourceTracedAllocationBudget(t *testing.T) {
 // run inline in the same hand-off order.
 type shardPipeline struct {
 	border   *sim.Simulator
-	src      *flowbatch.BatchedPaced
+	src      *flowbatch.BatchedMixture
 	sas      []*flowbatch.ShardArrivals
 	seq      *flowbatch.JitterSequencer
 	chunks   [][]flowbatch.Arrival
@@ -208,9 +209,10 @@ func shardedBorderFixture(tap *ptrace.Recorder) *shardPipeline {
 	l.Pool = pool
 	chain := flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
 		AccessDelay: 500 * units.Microsecond}
-	src := &flowbatch.BatchedPaced{
-		Sim: s, Sched: sched, N: 4, BaseFlow: 10, Offset: 7 * units.Millisecond,
-		Chain: chain, Next: []packet.Handler{l}, Pool: pool,
+	const n = 4
+	src := &flowbatch.BatchedMixture{
+		Sim: s, BaseFlow: 10, Next: []packet.Handler{l}, Pool: pool,
+		Classes: []flowbatch.MixtureClass{{Sched: sched, N: n, Offset: 7 * units.Millisecond, Chain: chain}},
 	}
 	if tap != nil {
 		tap.SetClock(s)
@@ -223,15 +225,16 @@ func shardedBorderFixture(tap *ptrace.Recorder) *shardPipeline {
 	p := &shardPipeline{border: s, src: src, window: 10 * units.Millisecond,
 		chunks: make([][]flowbatch.Arrival, shards)}
 	for i := 0; i < shards; i++ {
-		sa := &flowbatch.ShardArrivals{Base: base}
-		for f := i; f < src.N; f += shards {
+		sa := &flowbatch.ShardArrivals{}
+		for f := i; f < n; f += shards {
 			sa.Flows = append(sa.Flows, int32(f))
 			sa.Start = append(sa.Start, src.StartOf(f))
+			sa.Bases = append(sa.Bases, base)
 		}
 		sa.Init()
 		p.sas = append(p.sas, sa)
 	}
-	p.seq = &flowbatch.JitterSequencer{RNG: s.RNG(), N: src.N}
+	p.seq = &flowbatch.JitterSequencer{RNG: s.RNG(), JitterMaxOf: make([]units.Time, n), N: n}
 	p.seq.Init()
 	for i := 0; i < 20; i++ { // warm buffers, pools, rings
 		p.step()

@@ -352,110 +352,13 @@ func BenchmarkCalendarBucketWidth(b *testing.B) {
 	}
 }
 
-// legacyWidthFor is the retired PR 7 fleet width rule — the anchor
-// width at N=10000 shrinking inversely with N, floored at 500 ns —
-// kept here so the width-policy bake-off can compare the adaptive
-// policy against what it replaced.
-func legacyWidthFor(n int) units.Time {
-	w := 50 * units.Microsecond
-	if n > 10000 {
-		w = 50 * units.Microsecond * 10000 / units.Time(n)
-	}
-	if w < 500 {
-		w = 500
-	}
-	return w
-}
-
-// BenchmarkWidthPolicy is the end-to-end width bake-off: three real
-// workloads — a wide batched nflow point (dense homogeneous), a fleet
-// mixture point (dense two-class), and a tcp local-testbed point
-// (sparse, cancel-heavy RTO schedules) — each run with the static
-// default width, the retired widthFor rule, and the adaptive policy.
-// Output is byte-identical across the three policies (width is never
-// semantic); only the wall clock moves. BENCH_PR8.json records this
-// matrix as the evidence behind shipping the adaptive default.
-func BenchmarkWidthPolicy(b *testing.B) {
-	lost := video.CachedCBR(video.Lost(), 1.0e6)
-	dark := video.CachedCBR(video.Dark(), 1.5e6)
-	wmv := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-
-	workloads := []struct {
-		name string
-		n    int // flow count the widthFor rule sees
-		run  func(b *testing.B, width units.Time)
-	}{
-		{"nflow-wide", 512, func(b *testing.B, width units.Time) {
-			m := topology.BuildMultiFlow(topology.MultiFlowConfig{
-				Seed: experiment.DefaultSeed, Enc: lost, N: 512,
-				TokenRate: 1.3e6, Depth: 4500, BottleneckRate: 24e6,
-				BELoad: 0.15, Stagger: 53 * units.Millisecond,
-				Batch: true, BucketWidth: width,
-			})
-			m.Run()
-			if m.Bottleneck.Sent == 0 {
-				b.Fatal("bottleneck carried nothing")
-			}
-		}},
-		{"fleet", 20000, func(b *testing.B, width units.Time) {
-			vn := 17000
-			en := 3000
-			m := topology.BuildMultiFlow(topology.MultiFlowConfig{
-				Seed: experiment.DefaultSeed,
-				Classes: []topology.FlowClass{
-					{Name: "viewers", Enc: lost, N: vn, TokenRate: 1.3e6,
-						Truncate: units.Second,
-						Stagger:  4 * units.Second / units.Time(vn)},
-					{Name: "elephants", Enc: dark, N: en, TokenRate: 1.95e6,
-						Truncate: units.Second, Phase: units.Millisecond,
-						Stagger: 4 * units.Second / units.Time(en)},
-				},
-				Depth: 4500, BottleneckRate: 3.2e9,
-				Sched: topology.PriorityBottleneck, BELoad: 0.02,
-				Batch: true, AggregateStats: true, BucketWidth: width,
-			})
-			m.Run()
-			if m.Aggregates[0].Packets == 0 {
-				b.Fatal("viewer class delivered nothing")
-			}
-		}},
-		{"tcp-heavy", 1, func(b *testing.B, width units.Time) {
-			l := topology.BuildLocal(topology.LocalConfig{
-				Seed: experiment.DefaultSeed, Enc: wmv,
-				TokenRate: 1.3e6, Depth: 3000, UseTCP: true,
-				BucketWidth: width,
-			})
-			l.Run()
-			if l.Sim.Fired() == 0 {
-				b.Fatal("tcp run fired nothing")
-			}
-		}},
-	}
-	for _, wl := range workloads {
-		policies := []struct {
-			name  string
-			width units.Time
-		}{
-			{"static-default", sim.DefaultBucketWidth},
-			{"widthfor", legacyWidthFor(wl.n)},
-			{"adaptive", 0},
-		}
-		for _, pol := range policies {
-			wl, pol := wl, pol
-			b.Run(wl.name+"/"+pol.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					wl.run(b, pol.width)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkNFlowWideSharded runs one nflow-wide grid point (batched,
 // 24 Mbps bottleneck, 53 ms stagger) at increasing intra-run shard
-// counts. The shards=1 row is the serial baseline; the speedup at 4
-// shards on N=512 is the headline number BENCH_PR6.json records, with
-// byte-identical output pinned by the shardeq harness.
+// counts. Every row runs the fan-out pipeline: shards=1 is its
+// one-worker form (still three goroutines: walker, sequencer, border),
+// not a serial baseline, so the rows measure how arrival walking
+// scales across workers. Output is byte-identical across rows (the
+// shardeq harness pins it).
 func BenchmarkNFlowWideSharded(b *testing.B) {
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
 	for _, n := range []int{128, 512} {

@@ -73,7 +73,9 @@ var parallelism int
 
 // shardCount is set by the -shards flag; > 1 runs each scenario
 // point's simulation on the intra-run sharded pipeline. Output is
-// byte-identical at any value (the shardeq harness pins this); the
+// byte-identical at any value (the shardeq harness pins this), except
+// that a class mixture at 1 runs the serial mixture engine, which can
+// break a same-instant tie differently (see internal/flowbatch); the
 // knob trades cores-per-point against points-in-flight. Scenarios
 // whose jobs do not dispatch to a sharded pipeline are rejected up
 // front rather than silently ignoring the flag.
@@ -515,7 +517,7 @@ func main() {
 		"compile and register a JSON scenario file (see internal/scenfile); runs it unless -run/-scenario selects otherwise")
 	parallel := flag.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 1,
-		"intra-run shard count per simulation (1 = serial; output is identical at any value)")
+		"intra-run shard count per simulation (output is identical at any value, except class mixtures at 1, which run the serial mixture engine)")
 	bucket := flag.Duration("bucket-width", 0,
 		"pin the calendar-queue bucket width, e.g. 50us, disabling width adaptation (0 = adaptive; pure perf knob)")
 	scale := flag.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")

@@ -27,9 +27,13 @@
 // Identical paced flows are batched (flowbatch): one representative
 // emission schedule per equivalence class — same encoding, rate and
 // packet sizing — cached and fanned out as N phase-offset virtual
-// flows by a single source that folds the per-flow access link
+// flows by one fan-out engine that folds the per-flow access link
 // (exact serialization emulation) and campus jitter (root-RNG draws
-// in global arrival order) into itself. Virtual flows keep distinct
+// in global arrival order) into itself: a replay pipeline that walks
+// each class's access chain once, time-shifts it per flow, draws the
+// jitter in one sequencer and replays the deliveries on the border
+// simulator. A homogeneous batch is a one-class
+// flowbatch.BatchedMixture. Virtual flows keep distinct
 // flow ids, policers, taps and per-flow statistics, and a batched
 // build is byte-identical to N real servers — pinned by the
 // differential harness in internal/experiment — while paying the
@@ -40,7 +44,9 @@
 //
 // One big run can additionally be sharded across workers ("dsbench
 // -shards K", MultiFlowConfig.Shards / TandemConfig.Shards) with
-// byte-identical output. Sources partition round-robin into K shards
+// byte-identical output; batched runs use the fan-out pipeline at
+// every shard count, one worker at -shards 1. Sources partition
+// round-robin into K shards
 // — batched virtual flows advance as time-shifted replays of one
 // shared base arrival sequence (flowbatch.BaseArrivals; the
 // access-chain recurrence is shift-invariant), unbatched chains clone
@@ -55,16 +61,21 @@
 // verdicts and the merged packet trace are bit-equal to the serial
 // run at every shard count — pinned by the shardeq differential
 // harness in internal/experiment and internal/topology. Unlike flow
-// batching, sharding has no large-N divergence boundary.
+// batching, the worker count has no large-N divergence boundary.
 //
 // Heterogeneous populations batch as mixtures
 // (flowbatch.BatchedMixture, MultiFlowConfig.Classes): K equivalence
 // classes — each with its own cached schedule, encoding, access
 // chain, policing profile, phase and stagger — fan out class-major
 // into one interleaved emission stream in exact global (time, flow)
-// order, so the batching contract and both differential harnesses
-// extend to mixtures unchanged (mixeq harness in
-// internal/experiment), serially and sharded. Six-figure fleets pair
+// order (mixeq harness in internal/experiment). At -shards > 1 a
+// mixture runs on the fan-out pipeline. At -shards 1 it keeps a serial
+// engine (BatchedMixture.Start), because the benchmark's stored
+// fleet-mixture output was recorded on it; that engine's one re-armed
+// delivery timer can break a same-instant tie with a border event
+// differently, and on the mixeq population it stops matching
+// per-flow servers at 32 flows per class, where the pipeline still
+// matches (TestMixtureSerialTieDivergence). Six-figure fleets pair
 // this with aggregated statistics (MultiFlowConfig.AggregateStats):
 // one client.Aggregate per class — delivered counts, streaming delay
 // moments, fixed-size P² quantile sketches — keeps receive-side

@@ -72,10 +72,11 @@ func TestBatchedNFlowEquivalence(t *testing.T) {
 					mb.Sim.Fired(), mu.Sim.Fired())
 			}
 			// The batched source emitted the full schedule per flow.
-			for i, sent := range mb.Batched.Sent {
-				if sent != len(mb.Batched.Sched.Entries) {
+			sched := mb.Mixture.Classes[0].Sched
+			for i, sent := range mb.Mixture.Sent {
+				if sent != len(sched.Entries) {
 					t.Errorf("virtual flow %d emitted %d of %d scheduled packets",
-						i, sent, len(mb.Batched.Sched.Entries))
+						i, sent, len(sched.Entries))
 				}
 			}
 		})

@@ -16,11 +16,13 @@ import (
 // The mixture differential harness: the K-class generalization of
 // batcheq_test.go. A two-class mixture run on the batched
 // BatchedMixture fan-out must be byte-identical to the same mixture
-// built from per-flow servers — and the sharded mixture pipeline must
-// be byte-identical to the serial one — so everything the batcheq and
-// shardeq harnesses pin for homogeneous populations carries over to
-// mixtures. A third suite checks that aggregated-stats mode reports
-// exactly what per-flow receivers measure.
+// built from per-flow servers — on the fan-out pipeline through n=32
+// per class, on the serial mixture engine only through n=16
+// (TestMixtureSerialTieDivergence pins where it stops) — and the
+// sharded mixture pipeline must be byte-identical to the serial engine
+// on the small populations tested. A third suite checks that
+// aggregated-stats mode reports exactly what per-flow receivers
+// measure.
 
 // mixClasses is the two-class population the tests run: n "viewers"
 // (Lost @ 1.0 Mbps) and n "elephants" (Dark @ 1.5 Mbps) with distinct
@@ -125,10 +127,20 @@ func TestMixtureBatchedEquivalence(t *testing.T) {
 
 // TestMixtureShardedEquivalence pins sharded mixture == serial mixture
 // byte-identically, for both the batched fan-out pipeline and the
-// unbatched chain-clone pipeline, at several shard counts.
+// unbatched chain-clone pipeline, at several shard counts, and the
+// pipeline against the unbatched build at n=32 per class — a size
+// where the serial mixture engine no longer matches either (see
+// TestMixtureSerialTieDivergence).
 func TestMixtureShardedEquivalence(t *testing.T) {
 	t.Parallel()
 	const n = 4
+	t.Run("pipeline-vs-unbatched", func(t *testing.T) {
+		t.Parallel()
+		const n = 32
+		unbatched := runMixturePoint(n, false, 0, false, 0, nil)
+		pipeline := runMixturePoint(n, true, 2, false, 0, nil)
+		diffMixture(t, "unbatched", "pipeline", unbatched, pipeline, n)
+	})
 	t.Run("batched", func(t *testing.T) {
 		t.Parallel()
 		serial := runMixturePoint(n, true, 0, false, 0, nil)
@@ -149,6 +161,34 @@ func TestMixtureShardedEquivalence(t *testing.T) {
 		}
 		diffMixture(t, "serial", "sharded", serial, sharded, n)
 	})
+}
+
+// TestMixtureSerialTieDivergence pins where the serial mixture engine
+// (BatchedMixture.Start, which one-worker mixture runs still use)
+// stops matching per-flow servers. At n=16 per class it matches the
+// unbatched build exactly. At n=32 a same-instant tie between its one
+// re-armed delivery timer and another component's event resolves the
+// other way, and the bottleneck totals diverge (168,263 vs 168,096
+// packets under the default seed), while the fan-out pipeline still
+// matches the unbatched build (TestMixtureShardedEquivalence). The
+// fix is to run mixtures on the pipeline at one worker as well, once
+// the benchmark's stored fleet-mixture output is re-recorded on it. If
+// either side of this pin flips, the boundary has moved and the
+// flowbatch package comment needs re-deriving.
+func TestMixtureSerialTieDivergence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("unbatched n=32 mixture run is slow; run without -short")
+	}
+	t.Parallel()
+	diffMixture(t, "unbatched", "serial", runMixturePoint(16, false, 0, false, 0, nil),
+		runMixturePoint(16, true, 0, false, 0, nil), 16)
+	mu, ms := runMixturePoint(32, false, 0, false, 0, nil), runMixturePoint(32, true, 0, false, 0, nil)
+	t.Logf("n=32 bottleneck: unbatched %d pkts, serial mixture %d pkts", mu.Bottleneck.Sent, ms.Bottleneck.Sent)
+	if mu.Bottleneck.Sent == ms.Bottleneck.Sent &&
+		mu.Bottleneck.SentBytes == ms.Bottleneck.SentBytes {
+		t.Errorf("n=32 stayed bit-equal (%d pkts/%d B) — the documented serial-mixture tie divergence no longer reproduces; re-derive the boundary",
+			mu.Bottleneck.Sent, mu.Bottleneck.SentBytes)
+	}
 }
 
 // TestMixtureAggregatedMatchesExact checks the aggregated-stats mode

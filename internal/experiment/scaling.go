@@ -196,7 +196,7 @@ func (spec MultiFlowSpec) Run() *Figure { return RunScenario(spec, 0) }
 // stagger is tightened from 331 ms to 53 ms (still coprime-ish with
 // the 33.4 ms frame interval) so large sweeps actually overlap
 // hundreds of concurrent flows instead of streaming past each other.
-// Every point runs on one BatchedPaced source, so wall time and
+// Every point runs on the batched fan-out, so wall time and
 // simulator events grow sublinearly in N (past the knee the
 // bottleneck transmits at most a pipe's worth no matter how many
 // flows feed it, and queue drops cost no events) — the

@@ -55,10 +55,10 @@ type Ctx struct {
 	Trace *TraceRequest
 
 	// Shards is the intra-run shard count each job should request from
-	// its topology (dsbench -shards). <= 1 runs every simulation
-	// serially; the assembled figure is byte-identical either way (the
-	// shardeq harness pins this), so the knob trades cores-per-job
-	// against jobs-in-flight without touching results.
+	// its topology (dsbench -shards); see RunOptions.Shards. The
+	// assembled figure is byte-identical at any value apart from the
+	// serial mixture engine's tie-breaking (the shardeq harness pins
+	// this), so the knob trades cores-per-job against jobs-in-flight.
 	Shards int
 
 	// BucketWidth overrides the calendar-queue bucket width of each
@@ -304,8 +304,11 @@ type RunOptions struct {
 	// Trace requests per-point packet traces.
 	Trace *TraceRequest
 	// Shards asks each job to run its simulation on the intra-run
-	// sharded pipeline with this many shards (<= 1 serial). Results
-	// are byte-identical at any value.
+	// sharded pipeline with this many shards (see
+	// topology.MultiFlowConfig.Shards for what <= 1 runs). Results are
+	// byte-identical at any value, except that class mixtures at <= 1
+	// run the serial mixture engine, which can break a same-instant tie
+	// differently.
 	Shards int
 	// BucketWidth overrides each job's calendar-queue bucket width
 	// (0 keeps defaults). Results are byte-identical at any width.

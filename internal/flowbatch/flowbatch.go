@@ -10,7 +10,7 @@
 //
 // # Exactness
 //
-// BatchedPaced folds the per-flow access link and campus jitter of the
+// The fan-out folds the per-flow access link and campus jitter of the
 // multi-flow topology into the source and reproduces them exactly:
 //
 //   - the access link is emulated by per-flow serialization state
@@ -42,42 +42,42 @@
 // traffic, and unsupported for random (Poisson, on-off) sources,
 // whose per-flow RNG forks cannot be reproduced by one shared stream.
 //
-// # Mixtures
+// # One population, one fan-out engine
 //
-// BatchedMixture generalizes the fan-out from one homogeneous
-// population to K equivalence classes (MixtureClass): each class
-// brings its own cached schedule, access chain, phase and stagger,
-// and fans out as its own set of phase-offset virtual flows, with
-// global flow indices laid out class-major. One arrival wheel and one
-// delivery wheel (flowWheel, a calendar of time buckets over flow
-// indices — O(1) amortized where a binary heap pays a cache-hostile
-// O(log N) sift) interleave the classes in exact global (time, flow)
-// order, so the jitter stream is drawn at exactly the positions K
-// separate per-flow populations would consume and the exactness
-// contract above — and both the batcheq and shardeq differential
-// harnesses — extend to mixtures unchanged. A single class with zero
-// phase emits packet-for-packet what BatchedPaced does when nothing
-// else shares its simulator (the isolated flowbatch test), but it is
-// not a drop-in replacement inside a larger topology: BatchedPaced
-// arms one delivery event per packet while the mixture keeps one
-// re-armed delivery timer, so their events carry different sequence
-// numbers and same-instant ties with other components' events (border
-// policers, links) can resolve in a different order. Folding a
-// homogeneous batch into a 1-class mixture therefore has to align the
-// delivery-timer arming first.
+// A batched population is a BatchedMixture of K equivalence classes
+// (MixtureClass): each class brings its own cached schedule, access
+// chain, phase and stagger, and fans out as its own set of
+// phase-offset virtual flows, with global flow indices laid out
+// class-major. A homogeneous batch is the one-class case.
+//
+// The fan-out engine is the replay pipeline of shard.go: BaseArrivals
+// walks each class's access chain once, ShardArrivals emits
+// time-shifted copies of that walk per flow, JitterSequencer draws
+// the jitter of every class in global (time, flow) order, and the
+// border simulator replays the released deliveries through
+// BatchedMixture.Inject. Its output does not depend on how many
+// workers walk the arrivals.
+//
+// BatchedMixture.Start is a second, serial engine — arrival and
+// delivery flowWheels behind one re-armed delivery timer — kept for
+// mixtures run on one worker because stored benchmark outputs were
+// recorded on it. On a simulator nothing else shares it emits exactly
+// what the pipeline emits (the flowbatch tests use it as the
+// reference). Inside a larger topology it does not always: its
+// delivery timer carries different sequence numbers than the
+// pipeline's injections, so a same-instant tie with another
+// component's event (a border policer, a link) can resolve the other
+// way. TestMixtureSerialTieDivergence in internal/experiment pins the
+// first witness: two classes at n = 32 flows each.
+//
 // TruncateSchedule caps a class's schedule to a clip prefix for
-// fleet-scale sweeps. Sharded execution reuses the shift-invariance
-// argument per class: ShardArrivals carries per-flow base-sequence
-// indirection (Bases) and JitterSequencer per-flow jitter bounds
-// (JitterMaxOf), so one border replay serves heterogeneous shards.
+// fleet-scale sweeps.
 package flowbatch
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/packet"
-	"repro/internal/ptrace"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -166,7 +166,7 @@ func CachedPacedSchedule(enc *video.Encoding) *Schedule {
 }
 
 // ChainSpec is the deterministic pre-policer path folded into a
-// BatchedPaced source: a dedicated access link (serialization at
+// fan-out class: a dedicated access link (serialization at
 // AccessRate plus AccessDelay propagation) followed by an
 // order-preserving uniform jitter element bounded by JitterMax. A zero
 // AccessRate means an infinitely fast access link; a zero JitterMax
@@ -277,207 +277,6 @@ func (r *timeRing) Pop() units.Time {
 		r.head = 0
 	}
 	return t
-}
-
-// BatchedPaced streams one shared Schedule as N virtual paced flows.
-// Flow i starts at Start time + i*Offset, carries flow id BaseFlow+i,
-// and delivers into Next[i] (or Next[0] when one shared next hop is
-// given). The folded ChainSpec stands in for the per-flow access link
-// and jitter elements; see the package comment for when the fold is
-// exact.
-//
-// Two pre-bound Timers drive the whole fan-out: an arrival timer that
-// walks the merged (per-flow serialized) arrival sequence, drawing
-// each packet's jitter at its arrival instant, and a delivery timer
-// that hands materialized packets to the per-flow next hops at their
-// jittered times. Steady-state emission allocates nothing: packets
-// come from Pool, timestamps ride preallocated heaps and rings, and
-// the simulator recycles both timer events.
-type BatchedPaced struct {
-	Sim      *sim.Simulator
-	Sched    *Schedule
-	N        int
-	BaseFlow packet.FlowID
-	Offset   units.Time // start stagger between consecutive virtual flows
-	Chain    ChainSpec
-	Next     []packet.Handler // per-virtual-flow next hop; a single entry is shared
-	Pool     *packet.Pool
-
-	// Tap, when set, receives one LinkDeliver event per packet as it
-	// leaves the folded chain — the observable the real chain's last
-	// element would have emitted, with the virtual flow id preserved.
-	Tap ptrace.Tap
-	Hop ptrace.HopID
-
-	// Per-virtual-flow emission counters (delivery-ordered).
-	Sent      []int
-	SentBytes []int64
-
-	start        []units.Time
-	drawn        []int // entries whose jitter has been drawn
-	delivered    []int // entries handed to Next
-	busyUntil    []units.Time
-	lastDelivery []units.Time
-	nextArr      []units.Time
-	nextDel      []units.Time
-	pending      []timeRing
-
-	arrHeap flowHeap
-	delHeap flowHeap
-
-	arrive  sim.Timer
-	deliver sim.Timer
-}
-
-// arriveTimer and deliverTimer give the source two Fire methods
-// without per-schedule closures (the link.Link pattern).
-type (
-	arriveTimer  BatchedPaced
-	deliverTimer BatchedPaced
-)
-
-// Fire advances the merged arrival sequence.
-func (t *arriveTimer) Fire(now units.Time) { (*BatchedPaced)(t).processArrivals(now) }
-
-// Fire hands due packets to their virtual flows' next hops.
-func (t *deliverTimer) Fire(now units.Time) { (*BatchedPaced)(t).deliverDue(now) }
-
-// Start schedules the fan-out. Flow 0's first packet follows the same
-// chain timing a freshly started server.Paced would produce.
-func (s *BatchedPaced) Start() {
-	if s.N <= 0 || s.Sched == nil || len(s.Sched.Entries) == 0 {
-		return
-	}
-	if len(s.Next) != s.N && len(s.Next) != 1 {
-		panic(fmt.Sprintf("flowbatch: %d next hops for %d virtual flows (want N or 1)", len(s.Next), s.N))
-	}
-	n := s.N
-	s.Sent = make([]int, n)
-	s.SentBytes = make([]int64, n)
-	s.start = make([]units.Time, n)
-	s.drawn = make([]int, n)
-	s.delivered = make([]int, n)
-	s.busyUntil = make([]units.Time, n)
-	s.lastDelivery = make([]units.Time, n)
-	s.nextArr = make([]units.Time, n)
-	s.nextDel = make([]units.Time, n)
-	s.pending = make([]timeRing, n)
-	s.arrHeap = flowHeap{idx: make([]int32, 0, n), key: s.nextArr}
-	s.delHeap = flowHeap{idx: make([]int32, 0, n), key: s.nextDel}
-	s.arrive = (*arriveTimer)(s)
-	s.deliver = (*deliverTimer)(s)
-	now := s.Sim.Now()
-	for i := 0; i < n; i++ {
-		s.start[i] = now + units.Time(int64(i))*s.Offset
-		s.computeArrival(i)
-		s.arrHeap.push(int32(i))
-	}
-	s.Sim.AtTimer(s.nextArr[s.arrHeap.min()], s.arrive)
-}
-
-// computeArrival advances flow i's access-link emulation to its next
-// undrawn entry: serialization starts at the emission instant or when
-// the link frees up, whichever is later — exactly a dedicated
-// link.Link's FIFO.
-func (s *BatchedPaced) computeArrival(i int) {
-	e := &s.Sched.Entries[s.drawn[i]]
-	txStart := s.start[i] + e.At
-	if s.busyUntil[i] > txStart {
-		txStart = s.busyUntil[i]
-	}
-	done := txStart + s.Chain.AccessRate.TxTime(e.Size)
-	s.busyUntil[i] = done
-	s.nextArr[i] = done + s.Chain.AccessDelay
-}
-
-// processArrivals draws jitter for every virtual-flow packet arriving
-// now, in (time, flow) order — the same root-RNG consumption order N
-// real jitter elements would produce — and schedules each packet's
-// delivery at its jittered instant.
-func (s *BatchedPaced) processArrivals(now units.Time) {
-	for s.arrHeap.len() > 0 {
-		i := s.arrHeap.min()
-		a := s.nextArr[i]
-		if a > now {
-			break
-		}
-		// Uniform draw plus order-preserving clamp: link.Jitter.Handle,
-		// with the element's state held per virtual flow.
-		t := a
-		if s.Chain.JitterMax > 0 {
-			t = a + units.Time(s.Sim.RNG().Float64()*float64(s.Chain.JitterMax))
-		}
-		if t < s.lastDelivery[i] {
-			t = s.lastDelivery[i]
-		}
-		s.lastDelivery[i] = t
-		if s.pending[i].Len() == 0 {
-			s.nextDel[i] = t
-			s.delHeap.push(i)
-		}
-		s.pending[i].Push(t)
-		s.Sim.AtTimer(t, s.deliver)
-		s.drawn[i]++
-		if s.drawn[i] < len(s.Sched.Entries) {
-			s.computeArrival(int(i))
-			s.arrHeap.fixMin()
-		} else {
-			s.arrHeap.pop()
-		}
-	}
-	if s.arrHeap.len() > 0 {
-		s.Sim.AtTimer(s.nextArr[s.arrHeap.min()], s.arrive)
-	}
-}
-
-// deliverDue materializes and forwards every packet whose jittered
-// delivery instant is now, in (time, flow) order.
-func (s *BatchedPaced) deliverDue(now units.Time) {
-	for s.delHeap.len() > 0 {
-		i := s.delHeap.min()
-		if s.nextDel[i] > now {
-			break
-		}
-		s.pending[i].Pop()
-		k := s.delivered[i]
-		s.delivered[i]++
-		e := &s.Sched.Entries[k]
-		p := s.Pool.Get()
-		p.ID = traffic.NewPacketID()
-		p.Flow = s.BaseFlow + packet.FlowID(i)
-		p.Proto = packet.UDP
-		p.Size = e.Size
-		p.FrameSeq, p.FragIndex, p.FragCount = int(e.FrameSeq), int(e.FragIndex), int(e.FragCount)
-		p.SentAt = s.start[i] + e.At
-		s.Sent[i]++
-		s.SentBytes[i] += int64(e.Size)
-		if s.Tap != nil {
-			s.Tap.Emit(ptrace.Event{
-				Kind: ptrace.LinkDeliver, Hop: s.Hop, Flow: p.Flow, PktID: p.ID,
-				Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: e.FrameSeq,
-			})
-		}
-		next := s.Next[0]
-		if len(s.Next) > 1 {
-			next = s.Next[i]
-		}
-		next.Handle(p)
-		if s.pending[i].Len() > 0 {
-			s.nextDel[i] = s.pending[i].Peek()
-			s.delHeap.fixMin()
-		} else {
-			s.delHeap.pop()
-		}
-	}
-}
-
-// TotalSent sums the per-virtual-flow emission counters.
-func (s *BatchedPaced) TotalSent() int {
-	total := 0
-	for _, n := range s.Sent {
-		total += n
-	}
-	return total
 }
 
 // BatchedCBR fans one constant-bit-rate emission pattern out as N

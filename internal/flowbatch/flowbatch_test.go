@@ -87,15 +87,15 @@ func buildChain(s *sim.Simulator, pool *packet.Pool, spec ChainSpec, next packet
 	return l
 }
 
-// TestBatchedPacedFoldsChainExactly compares a BatchedPaced source
-// against per-flow server-style emissions through real link and
-// jitter elements, with a synthetic schedule that includes
+// TestFanoutFoldsChainExactly compares the fan-out pipeline, at 1, 2
+// and 3 workers, against per-flow server-style emissions through real
+// link and jitter elements, with a synthetic schedule that includes
 // back-to-back same-instant entries — forcing the access link to
-// queue, so the busyUntil serialization emulation is exercised, not
-// just the idle path. Both simulations share a seed, so the jitter
+// queue, so the serialization emulation of the base walk is exercised,
+// not just the idle path. All simulations share a seed, so the jitter
 // draws must line up in global arrival order for the outputs to
 // match.
-func TestBatchedPacedFoldsChainExactly(t *testing.T) {
+func TestFanoutFoldsChainExactly(t *testing.T) {
 	sched := &Schedule{}
 	rng := rand.New(rand.NewSource(42))
 	var at units.Time
@@ -162,53 +162,46 @@ func TestBatchedPacedFoldsChainExactly(t *testing.T) {
 	}
 	s1.Run()
 
-	// Batched: one source, folded chain, same seed.
-	s2 := sim.New(99)
-	pool2 := packet.NewPool()
-	got := &recorder{sim: s2, pool: pool2}
-	src := &BatchedPaced{Sim: s2, Sched: sched, N: n, BaseFlow: 100, Offset: offset,
-		Chain: chain, Next: []packet.Handler{got}, Pool: pool2}
-	src.Start()
-	s2.Run()
-
-	if len(got.got) != len(ref.got) {
-		t.Fatalf("batched delivered %d packets, reference %d", len(got.got), len(ref.got))
-	}
-	for i := range ref.got {
-		w, g := ref.got[i], got.got[i]
-		if w.at != g.at || w.flow != g.flow || w.size != g.size ||
-			w.frameSeq != g.frameSeq || w.sentAt != g.sentAt {
-			t.Fatalf("packet %d diverged:\nreference %+v\nbatched   %+v", i, w, g)
+	// Batched: one-class fan-out, folded chain, same seed.
+	for workers := 1; workers <= 3; workers++ {
+		got, src := runSharded(sched, chain, n, workers, offset, 0, 5*units.Millisecond)
+		if len(got.got) != len(ref.got) {
+			t.Fatalf("workers=%d: batched delivered %d packets, reference %d", workers, len(got.got), len(ref.got))
 		}
-	}
-	if src.TotalSent() != n*len(sched.Entries) {
-		t.Errorf("TotalSent = %d, want %d", src.TotalSent(), n*len(sched.Entries))
+		for i := range ref.got {
+			w, g := ref.got[i], got.got[i]
+			if w.at != g.at || w.flow != g.flow || w.size != g.size ||
+				w.frameSeq != g.frameSeq || w.sentAt != g.sentAt {
+				t.Fatalf("workers=%d: packet %d diverged:\nreference %+v\nbatched   %+v", workers, i, w, g)
+			}
+		}
+		if src.TotalSent() != n*len(sched.Entries) {
+			t.Errorf("workers=%d: TotalSent = %d, want %d", workers, src.TotalSent(), n*len(sched.Entries))
+		}
 	}
 }
 
-// runBatchedAtWidth runs the clumped-schedule batched fixture on a
-// calendar pinned to the given bucket width (0 = adaptive) and
-// returns the delivered stream.
-func runBatchedAtWidth(sched *Schedule, width units.Time) (*sim.Simulator, []emission) {
+// runMixtureAtWidth runs the clumped-schedule fixture on the serial
+// mixture engine, on a calendar pinned to the given bucket width
+// (0 = adaptive), and returns the delivered stream.
+func runMixtureAtWidth(sched *Schedule, width units.Time) (*sim.Simulator, []emission) {
 	s := sim.NewWithBucketWidth(77, width)
 	pool := packet.NewPool()
 	got := &recorder{sim: s, pool: pool}
-	src := &BatchedPaced{Sim: s, Sched: sched, N: 4, BaseFlow: 200, Offset: 1_712_345,
-		Chain: ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
-			JitterMax: 3 * units.Millisecond},
-		Next: []packet.Handler{got}, Pool: pool}
+	src := oneClass(s, sched, ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
+		JitterMax: 3 * units.Millisecond}, 4, 1_712_345, got, pool)
 	src.Start()
 	s.Run()
 	return s, got.got
 }
 
-// TestBatchedPacedWidthInvariant pins calendar geometry out of the
-// results: the same batched simulation run under the adaptive default
+// TestMixtureWidthInvariant pins calendar geometry out of the results:
+// the same serial mixture simulation run under the adaptive default
 // and under pinned widths far finer and far coarser than the traffic
 // spacing must deliver byte-identical packet streams — same instants,
 // flows, sizes and jitter draws (seeded RNG consumed in the same
 // event order). Bucket width is a performance knob only.
-func TestBatchedPacedWidthInvariant(t *testing.T) {
+func TestMixtureWidthInvariant(t *testing.T) {
 	sched := &Schedule{}
 	rng := rand.New(rand.NewSource(9))
 	var at units.Time
@@ -224,7 +217,7 @@ func TestBatchedPacedWidthInvariant(t *testing.T) {
 		at += units.Time(rng.Intn(400_000))
 	}
 
-	s, adaptive := runBatchedAtWidth(sched, 0)
+	s, adaptive := runMixtureAtWidth(sched, 0)
 	if len(adaptive) == 0 {
 		t.Fatal("adaptive run delivered nothing")
 	}
@@ -232,7 +225,7 @@ func TestBatchedPacedWidthInvariant(t *testing.T) {
 		t.Fatalf("adaptive run never rebased — fixture too short to exercise the policy: %+v", qs)
 	}
 	for _, width := range []units.Time{units.Microsecond, 4 * units.Millisecond} {
-		_, pinned := runBatchedAtWidth(sched, width)
+		_, pinned := runMixtureAtWidth(sched, width)
 		if len(pinned) != len(adaptive) {
 			t.Fatalf("width %v delivered %d packets, adaptive %d", width, len(pinned), len(adaptive))
 		}

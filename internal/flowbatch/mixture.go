@@ -10,14 +10,15 @@ import (
 	"repro/internal/units"
 )
 
-// This file generalizes the homogeneous fan-out to a mixture of
-// equivalence classes: K cached schedules, each fanned out as its own
-// phase-offset virtual-flow population, interleaved in one global
-// (time, flow) order. The interleaving is what makes the mixture
-// exact: the jitter draws of every class come from the simulator's
-// root RNG in the identical sequence N real per-flow jitter elements
-// would consume, which K independent BatchedPaced sources — each
-// walking its own arrival heap — could not reproduce.
+// This file holds the population model every batched run shares: K
+// equivalence classes, each a cached schedule fanned out as its own
+// phase-offset virtual-flow set, interleaved in one global (time, flow)
+// order. The interleaving is what makes a mixture exact: the jitter
+// draws of every class come from the simulator's root RNG in the
+// identical sequence N real per-flow jitter elements would consume,
+// which K independent per-class fan-outs could not reproduce. It also
+// holds the serial engine (Start), kept for one-worker mixture runs;
+// see the package comment.
 
 // TruncateSchedule returns the prefix of sched strictly before cutoff
 // (emission offsets, not absolute times). The entries share sched's
@@ -59,15 +60,13 @@ type MixtureClass struct {
 // Global virtual-flow indices are class-major: class 0 owns flows
 // [0, N0), class 1 owns [N0, N0+N1), and so on; flow g carries packet
 // flow id BaseFlow+g and delivers into Next[g] (or Next[0] when one
-// shared next hop is given). With a single class and zero phase, on a
-// simulator nothing else shares, it is packet-for-packet identical to a
-// BatchedPaced over the same schedule — the mixture tests pin this.
-// Inside a larger topology it is not: BatchedPaced arms a delivery
-// event per packet where the mixture re-arms one timer, so same-instant
-// ties with other components' events can resolve differently (see the
-// package comment). The exactness contract of the package comment
-// carries over unchanged: per-flow access-link serialization is folded
-// bit-exactly, and jitter is drawn from the root RNG in global
+// shared next hop is given). A homogeneous batch is one class.
+//
+// The fan-out engine replays it through InitReplay and Inject (see
+// shard.go); Start runs the serial engine instead, which matches the
+// replay exactly only on a simulator nothing else shares (see the
+// package comment). Either way per-flow access-link serialization is
+// folded bit-exactly and jitter is drawn from the root RNG in global
 // (time, flow) arrival order across all classes.
 type BatchedMixture struct {
 	Sim      *sim.Simulator
@@ -116,7 +115,7 @@ type BatchedMixture struct {
 }
 
 // mixArriveTimer and mixDeliverTimer give the mixture two Fire methods
-// without closures (the BatchedPaced pattern).
+// without closures (the link.Link pattern).
 type (
 	mixArriveTimer  BatchedMixture
 	mixDeliverTimer BatchedMixture
@@ -219,8 +218,9 @@ func (s *BatchedMixture) Start() {
 }
 
 // computeArrival advances flow g's access-link emulation to its next
-// undrawn entry of its class schedule — BatchedPaced.computeArrival
-// with the schedule and chain looked up per class.
+// undrawn entry of its class schedule: serialization starts at the
+// emission instant or when the link frees up, whichever is later —
+// exactly a dedicated link.Link's FIFO.
 func (s *BatchedMixture) computeArrival(g int) {
 	c := &s.Classes[s.classOf[g]]
 	e := &c.Sched.Entries[s.drawn[g]]
@@ -346,8 +346,10 @@ func (s *BatchedMixture) InitReplay() { s.init() }
 func (s *BatchedMixture) StartOf(g int) units.Time { return s.start[g] }
 
 // Inject materializes entry k of global flow g at the current border
-// clock — the mixture counterpart of BatchedPaced.Inject. The caller
-// must have advanced the border simulator to the delivery instant.
+// clock and forwards it to the flow's next hop — one delivery the
+// sequencer released. The caller must have advanced the border
+// simulator to the delivery instant so packet ids, taps and downstream
+// elements observe the serial timeline.
 func (s *BatchedMixture) Inject(g, k int32) { s.emit(g, k) }
 
 // TotalSent sums the per-virtual-flow emission counters.

@@ -29,65 +29,6 @@ func (c *captureHandler) Handle(p *packet.Packet) {
 	c.pool.Put(p)
 }
 
-// TestMixtureSingleClassMatchesBatchedPaced pins the degenerate-case
-// contract of BatchedMixture: one class with zero phase must be
-// packet-for-packet identical to a BatchedPaced over the same schedule
-// — same delivery instants, same flow ids, same sizes, same send
-// stamps, same per-flow counters.
-func TestMixtureSingleClassMatchesBatchedPaced(t *testing.T) {
-	t.Parallel()
-	enc := video.CachedCBR(video.Lost(), 1.0e6)
-	sched := CachedPacedSchedule(enc)
-	chain := ChainSpec{AccessRate: 100 * units.Mbps,
-		AccessDelay: 500 * units.Microsecond, JitterMax: 3 * units.Millisecond}
-	const n = 8
-	const offset = 53 * units.Millisecond
-	horizon := units.FromSeconds(80) + units.Time(n)*offset
-
-	runPaced := func() ([]capRec, []int) {
-		s := sim.New(7)
-		pool := packet.NewPool()
-		cap := &captureHandler{sim: s, pool: pool}
-		bp := &BatchedPaced{Sim: s, Sched: sched, N: n, Offset: offset,
-			Chain: chain, Next: []packet.Handler{cap}, Pool: pool}
-		bp.Start()
-		s.SetHorizon(horizon)
-		s.Run()
-		return cap.recs, bp.Sent
-	}
-	runMixture := func() ([]capRec, []int) {
-		s := sim.New(7)
-		pool := packet.NewPool()
-		cap := &captureHandler{sim: s, pool: pool}
-		mix := &BatchedMixture{Sim: s,
-			Classes: []MixtureClass{{Sched: sched, N: n, Offset: offset, Chain: chain}},
-			Next:    []packet.Handler{cap}, Pool: pool}
-		mix.Start()
-		s.SetHorizon(horizon)
-		s.Run()
-		return cap.recs, mix.Sent
-	}
-
-	pr, ps := runPaced()
-	mr, msent := runMixture()
-	if len(pr) != len(mr) {
-		t.Fatalf("emission counts differ: paced %d, mixture %d", len(pr), len(mr))
-	}
-	for i := range pr {
-		if pr[i] != mr[i] {
-			t.Fatalf("emission %d differs: paced %+v, mixture %+v", i, pr[i], mr[i])
-		}
-	}
-	for i := range ps {
-		if ps[i] != msent[i] {
-			t.Errorf("flow %d Sent: paced %d, mixture %d", i, ps[i], msent[i])
-		}
-		if ps[i] != len(sched.Entries) {
-			t.Errorf("flow %d emitted %d of %d scheduled", i, ps[i], len(sched.Entries))
-		}
-	}
-}
-
 // TestMixtureClassLayout pins the class-major global flow indexing and
 // per-class start lattice.
 func TestMixtureClassLayout(t *testing.T) {

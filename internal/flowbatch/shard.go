@@ -4,15 +4,13 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/packet"
-	"repro/internal/ptrace"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
-// This file splits BatchedPaced into the three stages of the sharded
-// execution mode (see internal/topology's sharded runs):
+// This file is the fan-out engine of a batched population (see the
+// package comment), as the three stages internal/topology pipelines
+// across goroutines:
 //
 //   - ShardArrivals: the RNG-free arrival walk (per-flow access-link
 //     serialization) over a subset of the virtual flows, advanced
@@ -20,9 +18,10 @@ import (
 //   - JitterSequencer: the single serialization point that merges the
 //     shards' arrival streams back into exact global (time, flow)
 //     order, draws each packet's jitter from the root RNG at exactly
-//     the stream position the serial run would have used, and releases
-//     deliveries once the lookahead frontier proves them final;
-//   - BatchedPaced.InitReplay/Inject: materialization of each
+//     the stream position N real jitter elements would have used, and
+//     releases deliveries once the lookahead frontier proves them
+//     final;
+//   - BatchedMixture.InitReplay/Inject: materialization of each
 //     delivery on the border simulator, at the delivery instant, in
 //     the exact order the sequencer released them.
 //
@@ -32,14 +31,14 @@ import (
 // RNG draw and every downstream side effect happens on the border in
 // serial order. Sharding therefore moves work, not decisions.
 //
-// The arrival walk goes further than relocating computeArrival: every
-// virtual flow plays the same shared schedule through the same chain
+// The arrival walk itself is nearly free: every virtual flow
+// of a class plays the same shared schedule through the same chain
 // parameters, and the serialization recurrence is shift-invariant —
 // max(a+c, b+c) = max(a, b)+c, so a flow started at s produces
 // arrival k at exactly s + base[k], where base is the walk of a flow
-// started at 0. BaseArrivals computes that base sequence once; a
-// shard then emits nothing but shifted copies of one array, with no
-// per-arrival arithmetic and no event queue at all.
+// started at 0. BaseArrivals computes that base sequence once per
+// class; a shard then emits nothing but shifted copies of those
+// arrays, with no per-arrival arithmetic and no event queue at all.
 //
 // Ordering inside a window is established by sorting, not by a merge
 // heap. Each stage's keys are unique total orders — at most one
@@ -71,7 +70,7 @@ type Delivery struct {
 }
 
 // BaseArrivals walks one virtual flow's access-chain serialization
-// (BatchedPaced.computeArrival with start 0) over the whole schedule
+// (BatchedMixture.computeArrival with start 0) over the whole schedule
 // and returns the arrival instant of every entry. Per-flow arrival
 // times are strictly increasing (serialization time is positive), and
 // a flow started at s arrives at s + base[k] — the shift-invariance
@@ -95,23 +94,17 @@ func BaseArrivals(sched *Schedule, chain ChainSpec) []units.Time {
 }
 
 // ShardArrivals generates the merged arrival sequence of a subset of
-// a BatchedPaced's virtual flows, window by window. It is the
-// shard-local half of processArrivals: the same per-flow access-link
-// serialization (via the shared base sequence), the same (time, flow)
-// order — minus the jitter draw, which must happen centrally.
+// a population's virtual flows, window by window: the same per-flow
+// access-link serialization as the serial engine's processArrivals
+// (via each flow's class base sequence), the same (time, flow) order
+// — minus the jitter draw, which must happen centrally.
 // Arrivals accumulate in Out; the shard worker drains lookahead
 // windows with AdvanceTo and hands Out chunks to the sequencer.
 type ShardArrivals struct {
-	Base    []units.Time // shared arrival offsets (BaseArrivals)
-	Flows   []int32      // owned global virtual-flow indices, ascending
-	Start   []units.Time // start time per owned flow (parallel to Flows)
-	Horizon units.Time   // arrivals after this never fire serially; 0 = unbounded
-
-	// Bases, when set, gives each owned flow its own base sequence
-	// (parallel to Flows) — the mixture case, where every class walks
-	// its own schedule through its own chain. nil means every owned
-	// flow shares Base.
-	Bases [][]units.Time
+	Flows   []int32        // owned global virtual-flow indices, ascending
+	Start   []units.Time   // start time per owned flow (parallel to Flows)
+	Bases   [][]units.Time // class base sequence per owned flow (BaseArrivals; parallel to Flows)
+	Horizon units.Time     // arrivals after this never fire serially; 0 = unbounded
 
 	// Out collects the arrivals of the current window in (time, flow)
 	// order. The worker swaps it out after each window.
@@ -126,14 +119,6 @@ type ShardArrivals struct {
 	scratch []Arrival // radix-sort ping-pong buffer
 }
 
-// baseOf reports the base sequence of owned flow loc.
-func (sa *ShardArrivals) baseOf(loc int32) []units.Time {
-	if sa.Bases != nil {
-		return sa.Bases[loc]
-	}
-	return sa.Base
-}
-
 // Init seeds the per-flow walk state.
 func (sa *ShardArrivals) Init() {
 	n := len(sa.Flows)
@@ -142,8 +127,7 @@ func (sa *ShardArrivals) Init() {
 	}
 	sa.pos = make([]int32, n)
 	sa.live = make([]int32, 0, n)
-	for i := range sa.Flows {
-		base := sa.baseOf(int32(i))
+	for i, base := range sa.Bases {
 		if len(base) == 0 {
 			continue
 		}
@@ -170,8 +154,7 @@ func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
 	mark := len(sa.Out)
 	w := 0
 	for _, loc := range sa.live {
-		start, flow := sa.Start[loc], sa.Flows[loc]
-		base := sa.baseOf(loc)
+		start, flow, base := sa.Start[loc], sa.Flows[loc], sa.Bases[loc]
 		n := int32(len(base))
 		k := sa.pos[loc]
 		for k < n {
@@ -288,7 +271,7 @@ type pendingDelivery struct {
 // It consumes the shards' arrival chunks window by window, merges them
 // into exact global (time, flow) order, draws one uniform jitter per
 // arrival from the root RNG in that order — the identical stream
-// positions the serial BatchedPaced consumes — applies the per-flow
+// positions N real jitter elements consume — applies the per-flow
 // order-preserving clamp, and releases a delivery once the frontier
 // proves nothing can precede it: every arrival still unprocessed is at
 // or after the frontier, and jitter and clamping only move times
@@ -297,15 +280,10 @@ type pendingDelivery struct {
 // finalized batch — the per-flow draw index makes the key unique and
 // reproduces the serial per-flow FIFO on same-instant deliveries.
 type JitterSequencer struct {
-	RNG       *sim.RNG
-	JitterMax units.Time
-	Horizon   units.Time // deliveries after this are dropped (the serial horizon)
-	N         int        // total virtual flows across all shards
-
-	// JitterMaxOf, when set, gives each global flow its own jitter
-	// bound (the mixture case, indexed by flow). nil means every flow
-	// shares JitterMax.
-	JitterMaxOf []units.Time
+	RNG         *sim.RNG
+	JitterMaxOf []units.Time // jitter bound per global flow (its class's ChainSpec.JitterMax)
+	Horizon     units.Time   // deliveries after this are dropped (the serial horizon)
+	N           int          // total virtual flows across all shards
 
 	lastDelivery []units.Time
 	drawn        []int32
@@ -361,14 +339,11 @@ func (q *JitterSequencer) Feed(chunks [][]Arrival, frontier units.Time, out []De
 }
 
 // draw consumes one root-RNG position for arrival a and queues its
-// delivery — the jitter half of BatchedPaced.processArrivals. The
+// delivery — the jitter half of the serial engine's processArrivals. The
 // per-flow clamp makes delivery times non-decreasing within a flow,
 // so the draw index doubles as the flow's release order.
 func (q *JitterSequencer) draw(a Arrival) {
-	jm := q.JitterMax
-	if q.JitterMaxOf != nil {
-		jm = q.JitterMaxOf[a.Flow]
-	}
+	jm := q.JitterMaxOf[a.Flow]
 	t := a.At
 	if jm > 0 {
 		t = a.At + units.Time(q.RNG.Float64()*float64(jm))
@@ -489,53 +464,4 @@ func compareDeliveries(a, b pendingDelivery) int {
 func (q *JitterSequencer) Flush(out []Delivery) []Delivery {
 	const never = units.Time(int64(^uint64(0) >> 1))
 	return q.release(never, out)
-}
-
-// InitReplay prepares the fan-out for border replay: the per-flow
-// counters and start times are laid out exactly as Start would lay
-// them out, but no timers are scheduled — an external sequencer
-// replays the delivery order through Inject instead.
-func (s *BatchedPaced) InitReplay() {
-	n := s.N
-	s.Sent = make([]int, n)
-	s.SentBytes = make([]int64, n)
-	s.start = make([]units.Time, n)
-	now := s.Sim.Now()
-	for i := 0; i < n; i++ {
-		s.start[i] = now + units.Time(int64(i))*s.Offset
-	}
-}
-
-// StartOf reports virtual flow i's start time (valid after Start or
-// InitReplay) — the shard orchestrator seeds ShardArrivals.Start from
-// it so both sides agree bit-for-bit.
-func (s *BatchedPaced) StartOf(i int) units.Time { return s.start[i] }
-
-// Inject materializes entry k of virtual flow i at the current border
-// clock and forwards it to the flow's next hop — the body of
-// deliverDue for one externally sequenced delivery. The caller must
-// have advanced the border simulator to the delivery instant so packet
-// ids, taps and downstream elements observe the serial timeline.
-func (s *BatchedPaced) Inject(i, k int32) {
-	e := &s.Sched.Entries[k]
-	p := s.Pool.Get()
-	p.ID = traffic.NewPacketID()
-	p.Flow = s.BaseFlow + packet.FlowID(i)
-	p.Proto = packet.UDP
-	p.Size = e.Size
-	p.FrameSeq, p.FragIndex, p.FragCount = int(e.FrameSeq), int(e.FragIndex), int(e.FragCount)
-	p.SentAt = s.start[i] + e.At
-	s.Sent[i]++
-	s.SentBytes[i] += int64(e.Size)
-	if s.Tap != nil {
-		s.Tap.Emit(ptrace.Event{
-			Kind: ptrace.LinkDeliver, Hop: s.Hop, Flow: p.Flow, PktID: p.ID,
-			Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: e.FrameSeq,
-		})
-	}
-	next := s.Next[0]
-	if len(s.Next) > 1 {
-		next = s.Next[i]
-	}
-	next.Handle(p)
 }

@@ -29,14 +29,23 @@ func clumpedSchedule(seed int64, frames int) *Schedule {
 	return sched
 }
 
-// runSerial drives a plain BatchedPaced to the horizon (0 = drain) and
-// returns its emissions plus per-flow counters.
-func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Time) (*recorder, *BatchedPaced) {
+// oneClass wraps sched as a one-class mixture — a homogeneous batch of
+// n flows staggered by offset — delivering every flow into next.
+func oneClass(s *sim.Simulator, sched *Schedule, chain ChainSpec, n int, offset units.Time,
+	next packet.Handler, pool *packet.Pool) *BatchedMixture {
+	return &BatchedMixture{Sim: s, Classes: []MixtureClass{{Sched: sched, N: n, Offset: offset, Chain: chain}},
+		BaseFlow: 100, Next: []packet.Handler{next}, Pool: pool}
+}
+
+// runSerial drives an isolated one-class serial BatchedMixture to the
+// horizon (0 = drain) and returns its emissions plus the source. With
+// nothing else on its simulator the serial engine has no cross-component
+// ties to break, so it is an exact reference for the pipeline.
+func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Time) (*recorder, *BatchedMixture) {
 	s := sim.New(99)
 	pool := packet.NewPool()
 	rec := &recorder{sim: s, pool: pool}
-	src := &BatchedPaced{Sim: s, Sched: sched, N: n, BaseFlow: 100, Offset: offset,
-		Chain: chain, Next: []packet.Handler{rec}, Pool: pool}
+	src := oneClass(s, sched, chain, n, offset, rec, pool)
 	src.Start()
 	if horizon > 0 {
 		s.SetHorizon(horizon)
@@ -45,38 +54,42 @@ func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Ti
 	return rec, src
 }
 
-// runSharded drives the decomposed pipeline: per-shard arrival walks
-// in lookahead windows, central jitter sequencing, border replay.
-func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, offset, horizon, window units.Time) (*recorder, *BatchedPaced) {
-	t.Helper()
-	border := sim.New(99)
-	pool := packet.NewPool()
-	rec := &recorder{sim: border, pool: pool}
-	bp := &BatchedPaced{Sim: border, Sched: sched, N: n, BaseFlow: 100, Offset: offset,
-		Chain: chain, Next: []packet.Handler{rec}, Pool: pool}
-	bp.InitReplay()
-
-	base := BaseArrivals(sched, chain)
+// replay drives the fan-out pipeline over mix inline, on mix's own
+// simulator as the border: per-shard arrival walks in lookahead
+// windows, central jitter sequencing, border replay.
+func replay(mix *BatchedMixture, shards int, horizon, window units.Time) {
+	border := mix.Sim
+	mix.InitReplay()
+	n := mix.TotalFlows()
+	bases := make([][]units.Time, len(mix.Classes))
+	for ci, c := range mix.Classes {
+		bases[ci] = BaseArrivals(c.Sched, c.Chain)
+	}
 	sas := make([]*ShardArrivals, shards)
 	for s := 0; s < shards; s++ {
-		sa := &ShardArrivals{Base: base, Horizon: horizon}
+		sa := &ShardArrivals{Horizon: horizon}
 		for i := s; i < n; i += shards {
 			sa.Flows = append(sa.Flows, int32(i))
-			sa.Start = append(sa.Start, bp.StartOf(i))
+			sa.Start = append(sa.Start, mix.StartOf(i))
+			sa.Bases = append(sa.Bases, bases[mix.ClassOf(i)])
 		}
 		sa.Init()
 		sas[s] = sa
 	}
-	seq := &JitterSequencer{RNG: border.RNG(), JitterMax: chain.JitterMax, Horizon: horizon, N: n}
+	jm := make([]units.Time, n)
+	for g := range jm {
+		jm[g] = mix.Classes[mix.ClassOf(g)].Chain.JitterMax
+	}
+	seq := &JitterSequencer{RNG: border.RNG(), JitterMaxOf: jm, Horizon: horizon, N: n}
 	seq.Init()
 
 	chunks := make([][]Arrival, shards)
 	var dels []Delivery
-	replay := func(dels []Delivery) {
+	inject := func(dels []Delivery) {
 		for _, d := range dels {
 			border.RunBefore(d.At)
 			border.AdvanceTo(d.At)
-			bp.Inject(d.Flow, d.Entry)
+			mix.Inject(d.Flow, d.Entry)
 		}
 	}
 	for frontier := window; ; frontier += window {
@@ -89,24 +102,34 @@ func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, o
 			}
 		}
 		dels = seq.Feed(chunks, frontier, dels[:0])
-		replay(dels)
+		inject(dels)
 		if done {
 			break
 		}
 	}
-	replay(seq.Flush(dels[:0]))
+	inject(seq.Flush(dels[:0]))
 	if horizon > 0 {
 		border.SetHorizon(horizon)
 	}
 	border.Run()
-	return rec, bp
+}
+
+// runSharded replays a one-class batch on the pipeline with the given
+// shard count and window.
+func runSharded(sched *Schedule, chain ChainSpec, n, shards int, offset, horizon, window units.Time) (*recorder, *BatchedMixture) {
+	border := sim.New(99)
+	pool := packet.NewPool()
+	rec := &recorder{sim: border, pool: pool}
+	mix := oneClass(border, sched, chain, n, offset, rec, pool)
+	replay(mix, shards, horizon, window)
+	return rec, mix
 }
 
 // TestShardedPipelineMatchesSerial pins the decomposition: for shard
 // counts 1–4 and several window widths, the sharded pipeline delivers
 // the identical packet sequence (instants, flows, sizes, frame
-// metadata, send stamps) and identical per-flow counters as the serial
-// BatchedPaced with the same seed.
+// metadata, send stamps) and identical per-flow counters as an
+// isolated serial one-class mixture with the same seed.
 func TestShardedPipelineMatchesSerial(t *testing.T) {
 	sched := clumpedSchedule(42, 300)
 	chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
@@ -117,7 +140,7 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 	ref, refSrc := runSerial(sched, chain, n, offset, 0)
 	for _, shards := range []int{1, 2, 3, 4} {
 		for _, window := range []units.Time{700 * units.Microsecond, 10 * units.Millisecond, units.FromSeconds(1)} {
-			got, gotSrc := runSharded(t, sched, chain, n, shards, offset, 0, window)
+			got, gotSrc := runSharded(sched, chain, n, shards, offset, 0, window)
 			compareEmissions(t, ref, got, shards, window)
 			for i := 0; i < n; i++ {
 				if refSrc.Sent[i] != gotSrc.Sent[i] || refSrc.SentBytes[i] != gotSrc.SentBytes[i] {
@@ -146,7 +169,7 @@ func TestShardedPipelineHorizonParity(t *testing.T) {
 	if len(ref.got) == 0 {
 		t.Fatal("horizon truncated everything; test is vacuous")
 	}
-	got, _ := runSharded(t, sched, chain, n, 3, offset, horizon, 5*units.Millisecond)
+	got, _ := runSharded(sched, chain, n, 3, offset, horizon, 5*units.Millisecond)
 	compareEmissions(t, ref, got, 3, 5*units.Millisecond)
 }
 
@@ -158,7 +181,7 @@ func TestShardedZeroJitter(t *testing.T) {
 	chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond}
 	const n = 4
 	ref, _ := runSerial(sched, chain, n, 0, 0) // zero offset: maximal ties
-	got, _ := runSharded(t, sched, chain, n, 4, 0, 0, 3*units.Millisecond)
+	got, _ := runSharded(sched, chain, n, 4, 0, 0, 3*units.Millisecond)
 	compareEmissions(t, ref, got, 4, 3*units.Millisecond)
 }
 

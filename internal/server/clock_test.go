@@ -98,8 +98,9 @@ func TestBackToBackPreconditionPanics(t *testing.T) {
 		{"WMTUDP", func(s *sim.Simulator) {
 			(&WMTUDP{Sim: s, Enc: vbr, Flow: 1, Next: &packet.Sink{}, HostRate: 100 * units.Kbps}).Start()
 		}},
-		// 8543 B × 2.5 = 21357 B is 15 fragments: the last leaves
-		// 42 ms in at 4 Mbps, though 8543 B alone (15 ms) would fit.
+		// 8543 B × 2.5 = 21357 B is two datagrams of 12 + 4 fragments:
+		// the last leaves 45 ms in at 4 Mbps, though 8543 B alone
+		// (6 fragments, 15 ms) would fit.
 		{"Burst", func(s *sim.Simulator) {
 			(&Burst{Sim: s, Enc: cbr, Flow: 1, Next: &packet.Sink{}, HostRate: 4 * units.Mbps}).Start()
 		}},
@@ -132,12 +133,13 @@ func TestShippedEncodingsSendRingMargin(t *testing.T) {
 		for _, c := range []struct {
 			name        string
 			size, pin   int
+			dgram       int // largest datagram the server sends
 			rate        units.BitRate
 			budget      int64
 			marginFloor int64
 		}{
-			{"WMTUDP", vbr, 4235, 10 * units.Mbps, 41708, 9},
-			{"Burst", burst, 21357, 100 * units.Mbps, 417083, 19},
+			{"WMTUDP", vbr, 4235, vbr, 10 * units.Mbps, 41708, 9},
+			{"Burst", burst, 21357, MaxDatagram, 100 * units.Mbps, 417083, 19},
 		} {
 			if c.size != c.pin {
 				t.Errorf("%s %s: largest frame %d B, pinned %d B", clip.Name, c.name, c.size, c.pin)
@@ -148,7 +150,7 @@ func TestShippedEncodingsSendRingMargin(t *testing.T) {
 			if c.budget < c.marginFloor*int64(c.size) {
 				t.Errorf("%s %s: %d B frame within %dx of the %d B interval budget", clip.Name, c.name, c.size, c.marginFloor, c.budget)
 			}
-			checkBackToBack(clip.Name+" "+c.name, 0, c.size, c.rate) // panics on a breach
+			checkBackToBack(clip.Name+" "+c.name, 0, c.size, c.dgram, c.rate) // panics on a breach
 		}
 	}
 }

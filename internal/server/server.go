@@ -79,11 +79,25 @@ func (c *frameClock) Fire(units.Time) {
 // message still takes one header-only fragment.
 func fragments(size, msg int) int { return max(1, (size+msg-1)/msg) }
 
+// datagramFragments is the number of MTU-sized fragments a size-byte
+// frame takes when sent as datagrams of at most dgram bytes, each
+// fragmented on its own.
+func datagramFragments(size, dgram int) int {
+	n := 0
+	for off := 0; ; off += dgram {
+		n += fragments(min(dgram, size-off), MaxUDPPayload)
+		if off+dgram >= size {
+			return n
+		}
+	}
+}
+
 // checkBackToBack panics unless the last MTU-sized fragment of frame i
-// (size bytes), sent back-to-back at rate, leaves before the next
-// frame starts — the precondition of the sender's FIFO ring.
-func checkBackToBack(who string, i, size int, rate units.BitRate) {
-	n := fragments(size, MaxUDPPayload)
+// (size bytes in datagrams of at most dgram bytes), sent back-to-back
+// at rate, leaves before the next frame starts — the precondition of
+// the sender's FIFO ring.
+func checkBackToBack(who string, i, size, dgram int, rate units.BitRate) {
+	n := datagramFragments(size, dgram)
 	if units.Time(int64(n-1))*rate.TxTime(units.EthernetMTU) >= video.FrameInterval() {
 		panic(fmt.Sprintf("server: %s frame %d (%d B) does not leave within one frame interval at %v",
 			who, i, size, rate))
@@ -152,14 +166,26 @@ func (s *sender) spread(i, size, msg int, span units.Time) {
 	}
 }
 
-// backToBack queues frame i of size bytes as MTU-sized fragments that
-// leave back-to-back at rate, each declaring frags fragments.
-func (s *sender) backToBack(i, size, frags int, rate units.BitRate) {
+// backToBack queues frame i of size bytes as datagrams of at most
+// dgram bytes, each cut into MTU-sized fragments. The fragments leave
+// back-to-back at rate, numbered across the whole frame, and each
+// declares the frame's fragment count, so a frame that arrives whole
+// reassembles.
+func (s *sender) backToBack(i, size, dgram int, rate units.BitRate) {
+	frags := datagramFragments(size, dgram)
 	var at units.Time
-	for j := 0; j < fragments(size, MaxUDPPayload); j++ {
-		payload := min(MaxUDPPayload, size-j*MaxUDPPayload)
-		s.queue(i, j, frags, payload, at)
-		at += rate.TxTime(payload + UDPHeader)
+	j := 0
+	for off := 0; ; off += dgram {
+		d := min(dgram, size-off)
+		for k := 0; k < fragments(d, MaxUDPPayload); k++ {
+			payload := min(MaxUDPPayload, d-k*MaxUDPPayload)
+			s.queue(i, j, frags, payload, at)
+			at += rate.TxTime(payload + UDPHeader)
+			j++
+		}
+		if off+dgram >= size {
+			return
+		}
 	}
 }
 
@@ -258,7 +284,7 @@ func (b *Burst) Start() {
 		b.FeedbackEvery = units.Second
 	}
 	i, size := largestFrame(b.Enc)
-	checkBackToBack("Burst", i, burstSize(size, maxRateMultiplier), b.HostRate)
+	checkBackToBack("Burst", i, burstSize(size, maxRateMultiplier), MaxDatagram, b.HostRate)
 	b.rateMultiplier = 1
 	b.sender = sender{sim: b.Sim, next: b.Next, flow: b.Flow, pool: b.Pool}
 	b.clock.run(b.Sim, len(b.Enc.Frames), b.sendFrame)
@@ -310,9 +336,7 @@ func (b *Burst) sendFrame(i int) {
 	// fragmented by the IP stack into MTU-sized packets that leave
 	// back-to-back at the host NIC rate. One lost fragment loses the
 	// datagram, and hence the frame.
-	const perDatagram = (MaxDatagram + MaxUDPPayload - 1) / MaxUDPPayload
-	frags := size/MaxDatagram*perDatagram + (size%MaxDatagram+MaxUDPPayload-1)/MaxUDPPayload
-	b.backToBack(i, size, frags, b.HostRate)
+	b.backToBack(i, size, MaxDatagram, b.HostRate)
 }
 
 // WMTUDP streams a capped-VBR encoding over UDP with reduced message
@@ -339,14 +363,14 @@ func (s *WMTUDP) Start() {
 		s.HostRate = 10 * units.Mbps
 	}
 	i, size := largestFrame(s.Enc)
-	checkBackToBack("WMTUDP", i, size, s.HostRate)
+	checkBackToBack("WMTUDP", i, size, size, s.HostRate)
 	s.sender = sender{sim: s.Sim, next: s.Next, flow: s.Flow, pool: s.Pool}
 	s.clock.run(s.Sim, len(s.Enc.Frames), s.sendFrame)
 }
 
 func (s *WMTUDP) sendFrame(i int) {
 	size := s.Enc.Frames[i].Size
-	s.backToBack(i, size, fragments(size, MaxUDPPayload), s.HostRate)
+	s.backToBack(i, size, size, s.HostRate) // no datagram split
 }
 
 // WMTTCP streams a capped-VBR encoding over the simulated TCP

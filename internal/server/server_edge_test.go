@@ -74,6 +74,31 @@ func TestBurstLargeFrameSpansDatagrams(t *testing.T) {
 	}
 }
 
+// TestBurstOversizedFrameReassembles sends a frame of two full
+// datagrams (2 × MaxDatagram bytes) straight into a receiver: every
+// fragment arrives, so the frame must reassemble whole. Each datagram
+// is fragmented on its own — 12 fragments apiece — and every fragment
+// declares the frame's 24.
+func TestBurstOversizedFrameReassembles(t *testing.T) {
+	s := sim.New(1)
+	enc := video.EncodeCBR(video.Lost(), 1.7e6)
+	big := *enc
+	big.Frames = append([]video.EncodedFrame(nil), enc.Frames...)
+	big.Frames[0].Size = 2 * MaxDatagram
+	cl := client.NewUDP(s, len(big.Frames))
+	srv := &Burst{Sim: s, Enc: &big, Flow: 1, Next: cl}
+	srv.Start()
+	s.SetHorizon(units.FromSeconds(1))
+	s.Run()
+	tr := cl.Finish()
+	if len(tr.Records) == 0 || tr.Records[0].Seq != 0 {
+		t.Fatalf("frame 0 (%d B) never reassembled", big.Frames[0].Size)
+	}
+	if r := tr.Records[0]; r.Frags != 24 || r.LostFrags != 0 {
+		t.Errorf("frame 0: %d fragments declared, %d lost; want 24 and 0", r.Frags, r.LostFrags)
+	}
+}
+
 func TestWMTTCPNoThinningOnFastPath(t *testing.T) {
 	// A sender whose segments are acked instantly (infinite-capacity
 	// network) must never thin.

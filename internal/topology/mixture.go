@@ -19,8 +19,8 @@ import (
 // emission schedule out as its own phase-offset virtual-flow set with
 // its own policing profile; the classes' arrival sequences interleave
 // in exact global (time, flow) order inside flowbatch.BatchedMixture,
-// so the batched/unbatched and sharded/serial differential harnesses
-// extend to mixtures unchanged.
+// on the fan-out pipeline at Shards > 1 and on the serial mixture
+// engine at Shards <= 1 (see MultiFlow.Run for why both remain).
 //
 // Two receive-side modes:
 //
@@ -77,9 +77,6 @@ func (d *classDemux) Handle(p *packet.Packet) {
 // population replaced by a class mixture and — under AggregateStats —
 // the per-flow receivers replaced by per-class accumulators.
 func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
-	chain := flowbatch.ChainSpec{
-		AccessRate: accessRate, AccessDelay: accessDelay, JitterMax: accessJitterMax,
-	}
 	k := len(cfg.Classes)
 	classes := make([]flowbatch.MixtureClass, k)
 	names := make([]string, k)
@@ -97,7 +94,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 		}
 		sched := flowbatch.TruncateSchedule(flowbatch.CachedPacedSchedule(fc.Enc), fc.Truncate)
 		classes[ci] = flowbatch.MixtureClass{
-			Sched: sched, N: fc.N, Phase: fc.Phase, Offset: stagger, Chain: chain,
+			Sched: sched, N: fc.N, Phase: fc.Phase, Offset: stagger, Chain: accessChain,
 		}
 		names[ci] = fc.Name
 		if names[ci] == "" {
@@ -250,13 +247,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 		for i := range nexts {
 			nexts[i] = m.Policers[i]
 		}
-		m.Mixture = &flowbatch.BatchedMixture{
-			Sim: m.Sim, Classes: classes, BaseFlow: VideoFlow,
-			Next: nexts, Pool: net.Pool,
-		}
-		if cfg.Trace != nil {
-			m.Mixture.Tap, m.Mixture.Hop = cfg.Trace, cfg.Trace.Hop("vflows")
-		}
+		m.batch(classes, nexts, cfg.Trace)
 	} else {
 		for i := 0; i < total; i++ {
 			m.Servers = append(m.Servers, &server.Paced{
@@ -269,12 +260,15 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 	return m
 }
 
-// runShardedMixture executes a batched mixture run on the fan-out
-// pipeline of shard.go: per-class base walks feed per-flow shifted
-// arrival streams, one sequencer draws the jitter of every class in
-// exact global (time, flow) order, and the border replays the merged
-// deliveries — bit-identical to the serial mixture run at any shard
-// count (the mixture shardeq tests pin this).
+// runShardedMixture executes a batched run — a one-class homogeneous
+// batch or a K-class mixture — on the fan-out pipeline of shard.go:
+// per-class base walks feed per-flow shifted arrival streams on
+// min(shards, flows) workers, one sequencer draws the jitter of every
+// class in exact global (time, flow) order, and the border replays the
+// merged deliveries. The output is identical at any worker count. It
+// matches the serial mixture engine on the tested small mixtures but
+// not at every size: the serial engine's re-armed delivery timer can
+// break a same-instant tie the other way (TestMixtureSerialTieDivergence).
 func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats {
 	mix := m.Mixture
 	mix.InitReplay()
@@ -302,6 +296,9 @@ func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats
 		jmOf[g] = mix.Classes[mix.ClassOf(g)].Chain.JitterMax
 	}
 
+	// Flows are dealt round-robin so the staggered starts spread evenly
+	// across workers; any ascending per-shard assignment preserves the
+	// global (time, flow) merge order.
 	sas := make([]*flowbatch.ShardArrivals, s)
 	for i := 0; i < s; i++ {
 		sa := &flowbatch.ShardArrivals{Horizon: horizon}

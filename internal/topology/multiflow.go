@@ -103,21 +103,26 @@ type MultiFlowConfig struct {
 	Stagger units.Time
 
 	// Batch replaces the N server.Paced instances and their per-flow
-	// access-link + jitter chains with one flowbatch.BatchedPaced that
-	// fans a shared cached emission schedule out as N phase-offset
-	// virtual flows. Policers, the bottleneck, the demux and the
-	// per-flow clients are declared identically, so a batched build is
-	// byte-identical to an unbatched one (the experiment package's
-	// differential harness pins this) while paying the source-side
-	// cost once instead of N times.
+	// access-link + jitter chains with a one-class
+	// flowbatch.BatchedMixture that fans a shared cached emission
+	// schedule out as N phase-offset virtual flows, replayed through
+	// the fan-out pipeline (see shard.go). Policers, the bottleneck,
+	// the demux and the per-flow clients are declared identically, so
+	// a batched build matches an unbatched one (the experiment
+	// package's differential harness pins this through N = 96 on the
+	// wide grid) while paying the source-side cost once instead of N
+	// times.
 	Batch bool
 
-	// Shards > 1 executes the run on the intra-run sharded pipeline
-	// (see shard.go): the per-flow source chains advance on
-	// shard-private simulators under conservative lookahead windows
-	// and the border replays their emissions in exact serial order, so
-	// a sharded run is bit-identical to a serial one at any shard
-	// count (the shardeq harness pins this). <= 1 runs serially.
+	// Shards is the intra-run worker count (see shard.go). A batched
+	// build walks its arrivals on max(Shards, 1) pipeline workers,
+	// except a Classes mixture at Shards <= 1, which runs the serial
+	// mixture engine. An unbatched build at Shards > 1 clones its
+	// per-flow source chains onto shard-private simulators; at <= 1 it
+	// runs serially. Output does not depend on Shards (the shardeq
+	// harness pins this), except that the serial mixture engine can
+	// break a same-instant tie differently
+	// (TestMixtureSerialTieDivergence).
 	Shards int
 
 	// Classes, when non-empty, replaces the homogeneous N-flow
@@ -164,14 +169,13 @@ func (c MultiFlowConfig) withDefaults() MultiFlowConfig {
 }
 
 // MultiFlow is a built N-flow experiment. Exactly one of Servers
-// (unbatched: one paced server per flow), Batched (one fan-out source
-// covering every flow) or Mixture (a K-class fan-out, see mixture.go)
-// is populated.
+// (unbatched: one paced server per flow) or Mixture (the batched
+// fan-out: one class for a Batch build, K for a Classes build, see
+// mixture.go) is populated.
 type MultiFlow struct {
 	Sim        *sim.Simulator
 	Net        *Network
 	Servers    []*server.Paced
-	Batched    *flowbatch.BatchedPaced
 	Mixture    *flowbatch.BatchedMixture
 	Clients    []*client.UDP
 	Policers   []*tokenbucket.Policer
@@ -183,8 +187,8 @@ type MultiFlow struct {
 	Aggregates []*client.Aggregate
 	ClassNames []string
 
-	// Stats describes the sharded pipeline after Run when Shards > 1
-	// (Stats.Shards is 1 after a serial run).
+	// Stats describes the sharded pipeline after Run (Stats.Shards is
+	// 1 after a serial or one-worker run).
 	Stats ShardStats
 
 	enc     *video.Encoding
@@ -298,20 +302,22 @@ func BuildMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 		for i := range nexts {
 			nexts[i] = net.Handler(fmt.Sprintf("policer%d", i))
 		}
-		m.Batched = &flowbatch.BatchedPaced{
-			Sim: m.Sim, Sched: flowbatch.CachedPacedSchedule(cfg.Enc),
-			N: cfg.N, BaseFlow: VideoFlow, Offset: cfg.Stagger,
-			Chain: flowbatch.ChainSpec{
-				AccessRate: accessRate, AccessDelay: accessDelay,
-				JitterMax: accessJitterMax,
-			},
-			Next: nexts, Pool: net.Pool,
-		}
-		if cfg.Trace != nil {
-			m.Batched.Tap, m.Batched.Hop = cfg.Trace, cfg.Trace.Hop("vflows")
-		}
+		m.batch([]flowbatch.MixtureClass{{Sched: flowbatch.CachedPacedSchedule(cfg.Enc),
+			N: cfg.N, Offset: cfg.Stagger, Chain: accessChain}}, nexts, cfg.Trace)
 	}
 	return m
+}
+
+// batch installs the batched fan-out over classes, flow g delivering
+// into nexts[g], with a "vflows" trace hop when tracing.
+func (m *MultiFlow) batch(classes []flowbatch.MixtureClass, nexts []packet.Handler, trace *ptrace.Recorder) {
+	m.Mixture = &flowbatch.BatchedMixture{
+		Sim: m.Sim, Classes: classes, BaseFlow: VideoFlow,
+		Next: nexts, Pool: m.Net.Pool,
+	}
+	if trace != nil {
+		m.Mixture.Tap, m.Mixture.Hop = trace, trace.Hop("vflows")
+	}
 }
 
 // Per-flow access chain parameters, shared by the unbatched element
@@ -323,9 +329,14 @@ const (
 	accessJitterMax = 3 * units.Millisecond
 )
 
+// accessChain is the batched fold of one flow's access chain.
+var accessChain = flowbatch.ChainSpec{
+	AccessRate: accessRate, AccessDelay: accessDelay, JitterMax: accessJitterMax,
+}
+
 // Run starts every flow (staggered) and executes the simulation to
-// completion — serially, or on the sharded pipeline when the config
-// asked for Shards > 1.
+// completion: a batched build on the fan-out pipeline, an unbatched
+// one serially or, at Shards > 1, on cloned source chains.
 func (m *MultiFlow) Run() {
 	horizon := m.horizon
 	if horizon == 0 {
@@ -333,16 +344,17 @@ func (m *MultiFlow) Run() {
 			units.Time(int64(m.n))*m.stagger
 	}
 	switch {
-	case m.shards > 1 && m.Mixture != nil:
-		m.Stats = m.runShardedMixture(m.shards, horizon)
-	case m.shards > 1 && m.Batched != nil:
-		m.Stats = m.runShardedBatched(m.shards, horizon)
+	// A Classes mixture at Shards <= 1 (classOf is set only by the
+	// mixture build) stays on the serial BatchedMixture engine:
+	// perfbench's fleet-mixture workload runs it and its stored
+	// expected output was recorded on it. Moving it onto the pipeline
+	// needs those outputs re-recorded, since the serial engine breaks
+	// some same-instant ties differently (TestMixtureSerialTieDivergence).
+	case m.Mixture != nil && (m.shards > 1 || m.classOf == nil):
+		m.Stats = m.runShardedMixture(max(m.shards, 1), horizon)
 	case m.shards > 1:
 		m.Stats = m.runShardedUnbatched(m.shards, horizon)
 	default:
-		if m.Batched != nil {
-			m.Batched.Start()
-		}
 		if m.Mixture != nil {
 			m.Mixture.Start()
 		}

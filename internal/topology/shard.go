@@ -26,7 +26,8 @@ import (
 // or RNG-consuming element on runs serially on the border simulator,
 // replaying the shards' emissions in exact global order, so a sharded
 // run is bit-identical to the serial one (the shardeq harness in
-// internal/experiment pins this).
+// internal/experiment pins this). Batched runs take this path at every
+// shard count, one worker being their serial form; see MultiFlow.Run.
 //
 // # The lookahead rule
 //
@@ -135,51 +136,12 @@ func giveBuf[T any](free chan []T, b []T) {
 	}
 }
 
-// runShardedBatched executes a batched multi-flow run as the three-
-// stage pipeline described in internal/flowbatch/shard.go: S shard
-// workers walk disjoint virtual-flow subsets' arrival sequences over
-// one shared base sequence, a sequencer goroutine merges them and
-// draws the jitter stream in serial order, and the calling goroutine
-// replays the released deliveries on the border simulator.
-func (m *MultiFlow) runShardedBatched(shards int, horizon units.Time) ShardStats {
-	bp := m.Batched
-	bp.InitReplay()
-	n := bp.N
-	s := shards
-	if s > n {
-		s = n
-	}
-	w := lookaheadWindow(bp.Chain.AccessRate, bp.Chain.AccessDelay, minEntrySize(bp.Sched))
-
-	// Every virtual flow is a time-shifted copy of the same access-chain
-	// walk (shift-invariance, see flowbatch.BaseArrivals), so the walk
-	// is done once here and the shards merge shifted replays of it.
-	base := flowbatch.BaseArrivals(bp.Sched, bp.Chain)
-
-	// Flows are dealt round-robin so the staggered starts spread evenly
-	// across workers; any ascending per-shard assignment preserves the
-	// global (time, flow) merge order.
-	sas := make([]*flowbatch.ShardArrivals, s)
-	for i := 0; i < s; i++ {
-		sa := &flowbatch.ShardArrivals{Base: base, Horizon: horizon}
-		for f := i; f < n; f += s {
-			sa.Flows = append(sa.Flows, int32(f))
-			sa.Start = append(sa.Start, bp.StartOf(f))
-		}
-		sa.Init()
-		sas[i] = sa
-	}
-	seq := &flowbatch.JitterSequencer{RNG: m.Sim.RNG(), JitterMax: bp.Chain.JitterMax,
-		Horizon: horizon, N: n}
-	seq.Init()
-	return runFanoutPipeline(m.Sim, sas, seq, w, horizon, bp.Inject)
-}
-
 // runFanoutPipeline is the shard-worker / sequencer / border-replay
-// pipeline shared by the batched homogeneous and mixture runs: the
-// initialized ShardArrivals advance in lookahead windows w, the
-// sequencer merges and jitters their chunks, and the calling goroutine
-// replays released deliveries through inject in exact serial order.
+// pipeline of every batched run (see internal/flowbatch/shard.go): the
+// initialized ShardArrivals advance in lookahead windows w on one
+// goroutine each, a sequencer goroutine merges and jitters their
+// chunks, and the calling goroutine replays released deliveries
+// through inject in exact serial order.
 func runFanoutPipeline(border *sim.Simulator, sas []*flowbatch.ShardArrivals,
 	seq *flowbatch.JitterSequencer, w, horizon units.Time,
 	inject func(flow, entry int32)) ShardStats {
